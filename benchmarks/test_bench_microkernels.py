@@ -19,15 +19,28 @@ archived by CI).
 
 from __future__ import annotations
 
+import importlib.util
 import statistics
 import time
 
 import numpy as np
 import pytest
 
-from repro.conv import im2col_quantized, lut_matmul
-from repro.conv.gemm import available_gemm_kernels, flat_index_dtype
+from repro.conv import im2col_quantized
+from repro.conv.gemm import (
+    flat_index_dtype,
+    lut_matmul_blocked,
+    lut_matmul_naive,
+)
 from repro.quantization import compute_coeffs_from_tensor
+
+#: Every LUT-GEMM kernel this environment can run; the numba kernel joins
+#: when numba is importable.
+KERNELS = {"naive": lut_matmul_naive, "blocked": lut_matmul_blocked}
+if importlib.util.find_spec("numba") is not None:
+    from repro.conv.gemm_numba import lut_matmul_numba
+
+    KERNELS["numba"] = lut_matmul_numba
 
 #: Bench shape: one im2col'd 3x3x16 layer chunk against 64 filters.
 BENCH_P, BENCH_K, BENCH_F = 1024, 144, 64
@@ -98,7 +111,7 @@ def test_im2col_quantized(benchmark, activations):
 @pytest.mark.parametrize("kernel", ["naive", "blocked"])
 def test_lut_gemm(benchmark, exact_lut, gemm_case, kernel):
     patches, weights = gemm_case
-    acc = benchmark(lut_matmul, patches, weights, exact_lut, kernel=kernel)
+    acc = benchmark(KERNELS[kernel], patches, weights, exact_lut)
     assert acc.shape == (BENCH_P, BENCH_F)
 
 
@@ -146,9 +159,8 @@ def test_lut_gemm_roofline(exact_lut, gemm_case, bench_json):
         "roofline_macs_per_s": roofline,
     }
     achieved = {}
-    for kernel in available_gemm_kernels():
-        median = _median_seconds(
-            lut_matmul, patches, weights, exact_lut, kernel=kernel)
+    for kernel, run in KERNELS.items():
+        median = _median_seconds(run, patches, weights, exact_lut)
         achieved[kernel] = macs / median
         payload[f"{kernel}_median_seconds"] = median
         payload[f"{kernel}_macs_per_s"] = achieved[kernel]

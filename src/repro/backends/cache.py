@@ -30,9 +30,10 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .. import xp
+import numpy as np
+
 from ..errors import ConfigurationError
 from ..lut.table import LookupTable
 from ..multipliers import library
@@ -64,8 +65,7 @@ class CacheStats:
     def snapshot(self) -> "CacheStats":
         """Plain copy of the counters (see ``_BoundedCache.stats_snapshot``
         for the lock-consistent way to take one from a live cache)."""
-        return CacheStats(self.hits, self.misses, self.evictions,
-                          self.invalidations)
+        return replace(self)
 
 
 class _BoundedCache:
@@ -241,8 +241,8 @@ class PreparedFilterBank:
     """Cached filter-side state: coefficients, flat quantised bank and ``Sf``."""
 
     filter_q: QuantParams
-    flat_filters: xp.ndarray
-    filter_sums: xp.ndarray
+    flat_filters: np.ndarray
+    filter_sums: np.ndarray
 
 
 class FilterBankCache(_BoundedCache):
@@ -259,22 +259,22 @@ class FilterBankCache(_BoundedCache):
         super().__init__(max_entries)
 
     @staticmethod
-    def content_digest(filters: xp.ndarray) -> str:
+    def content_digest(filters: np.ndarray) -> str:
         """Digest identifying a filter tensor's contents in the cache keys.
 
         The trainer records this before an optimiser step so it can
         :meth:`invalidate` every bank derived from the superseded weights.
         """
-        data = xp.ascontiguousarray(filters)
+        data = np.ascontiguousarray(filters)
         return hashlib.sha1(data.tobytes()).hexdigest()
 
-    def resolve(self, filters: xp.ndarray, *,
+    def resolve(self, filters: np.ndarray, *,
                 qrange: IntegerRange,
                 round_mode: RoundMode,
                 filter_range: TensorRange | tuple[float, float] | None,
                 build) -> PreparedFilterBank:
         """Return the prepared bank for ``filters``, building it on a miss."""
-        data = xp.ascontiguousarray(filters)
+        data = np.ascontiguousarray(filters)
         key = (
             self.content_digest(data), data.shape, str(data.dtype),
             (qrange.qmin, qrange.qmax), RoundMode.from_any(round_mode),

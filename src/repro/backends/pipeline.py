@@ -30,7 +30,9 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from .. import xp
+import numpy as np
+
+from .. import counters
 from ..conv.approx_conv2d import (
     DEFAULT_CHUNK_SIZE,
     ApproxConvStats,
@@ -74,8 +76,8 @@ class RunReport:
     lut_name: str = ""
     batch: int = 0
     chunks: int = 0
-    chunk_size: int = 0
-    workers: int = 1
+    chunk_size: int = field(default=0, metadata=counters.SETTING)
+    workers: int = field(default=1, metadata=counters.SETTING)
     wall_time_s: float = 0.0
     lut_cache: CacheStats = field(default_factory=CacheStats)
     filter_cache: CacheStats = field(default_factory=CacheStats)
@@ -84,16 +86,10 @@ class RunReport:
 
     def merge(self, other: "RunReport") -> None:
         """Accumulate another run's accounting (e.g. a multi-layer sweep)."""
-        self.batch += other.batch
-        self.chunks += other.chunks
-        self.wall_time_s += other.wall_time_s
+        counters.add(self, other)
         self.stats.merge(other.stats)
-        for mine, theirs in ((self.lut_cache, other.lut_cache),
-                             (self.filter_cache, other.filter_cache)):
-            mine.hits += theirs.hits
-            mine.misses += theirs.misses
-            mine.evictions += theirs.evictions
-            mine.invalidations += theirs.invalidations
+        counters.add(self.lut_cache, other.lut_cache)
+        counters.add(self.filter_cache, other.filter_cache)
         if other.gpu is not None:
             if self.gpu is None:
                 self.gpu = GPUConvRunReport()
@@ -117,50 +113,15 @@ class RunReport:
             raise ConfigurationError(
                 f"cannot slice {rows} row(s) out of a {total_rows}-row report")
         fraction = rows / total_rows
-
-        def scale(value: int) -> int:
-            return int(round(value * fraction))
-
-        part = RunReport(
-            backend=self.backend,
-            lut_name=self.lut_name,
-            batch=rows,
-            chunks=scale(self.chunks),
-            chunk_size=self.chunk_size,
-            workers=self.workers,
-            wall_time_s=self.wall_time_s * fraction,
-            lut_cache=CacheStats(
-                hits=scale(self.lut_cache.hits),
-                misses=scale(self.lut_cache.misses),
-                evictions=scale(self.lut_cache.evictions),
-                invalidations=scale(self.lut_cache.invalidations),
-            ),
-            filter_cache=CacheStats(
-                hits=scale(self.filter_cache.hits),
-                misses=scale(self.filter_cache.misses),
-                evictions=scale(self.filter_cache.evictions),
-                invalidations=scale(self.filter_cache.invalidations),
-            ),
-            stats=ApproxConvStats(
-                lut_lookups=scale(self.stats.lut_lookups),
-                quantized_values=scale(self.stats.quantized_values),
-                dequantized_values=scale(self.stats.dequantized_values),
-                patch_matrix_bytes=scale(self.stats.patch_matrix_bytes),
-                output_values=scale(self.stats.output_values),
-                chunks=scale(self.stats.chunks),
-                macs=scale(self.stats.macs),
-            ),
-        )
+        part = counters.scaled(self, fraction)
+        part.batch = rows
+        part.lut_cache = counters.scaled(self.lut_cache, fraction)
+        part.filter_cache = counters.scaled(self.filter_cache, fraction)
+        part.stats = counters.scaled(self.stats, fraction)
+        part.stats.extra = {}
         if self.gpu is not None:
-            part.gpu = GPUConvRunReport(
-                chunks=scale(self.gpu.chunks),
-                kernel_launches=scale(self.gpu.kernel_launches),
-                texture_fetches=scale(self.gpu.texture_fetches),
-                atomic_adds=scale(self.gpu.atomic_adds),
-                shared_bytes=scale(self.gpu.shared_bytes),
-                patch_values=scale(self.gpu.patch_values),
-                lut_name=self.gpu.lut_name,
-            )
+            part.gpu = counters.scaled(self.gpu, fraction)
+            part.gpu.per_chunk = []
         return part
 
     def summary(self) -> str:
@@ -188,17 +149,8 @@ class RunReport:
 class RunResult:
     """Output tensor plus the :class:`RunReport` of one pipeline run."""
 
-    output: xp.ndarray
+    output: np.ndarray
     report: RunReport
-
-
-def _cache_delta(after: CacheStats, before: CacheStats) -> CacheStats:
-    return CacheStats(
-        hits=after.hits - before.hits,
-        misses=after.misses - before.misses,
-        evictions=after.evictions - before.evictions,
-        invalidations=after.invalidations - before.invalidations,
-    )
 
 
 class InferencePipeline:
@@ -259,7 +211,7 @@ class InferencePipeline:
             filter_cache if filter_cache is not None else DEFAULT_FILTER_CACHE)
 
     # ------------------------------------------------------------------
-    def prepare(self, inputs: xp.ndarray, filters: xp.ndarray,
+    def prepare(self, inputs: np.ndarray, filters: np.ndarray,
                 multiplier: str | Multiplier | LookupTable | None = None, *,
                 input_range: TensorRange | tuple[float, float] | None = None,
                 filter_range: TensorRange | tuple[float, float] | None = None,
@@ -307,7 +259,7 @@ class InferencePipeline:
         )
 
     # ------------------------------------------------------------------
-    def run(self, inputs: xp.ndarray, filters: xp.ndarray,
+    def run(self, inputs: np.ndarray, filters: np.ndarray,
             multiplier: str | Multiplier | LookupTable | None = None, *,
             strides=(1, 1), dilations=(1, 1), padding: str = "SAME",
             input_range: TensorRange | tuple[float, float] | None = None,
@@ -351,8 +303,9 @@ class InferencePipeline:
             chunks=len(shards),
             chunk_size=self.chunk_size,
             workers=workers,
-            lut_cache=_cache_delta(self.lut_cache.stats_snapshot(), lut_before),
-            filter_cache=_cache_delta(
+            lut_cache=counters.difference(
+                self.lut_cache.stats_snapshot(), lut_before),
+            filter_cache=counters.difference(
                 self.filter_cache.stats_snapshot(), filters_before),
         )
         for result in results:
@@ -362,18 +315,18 @@ class InferencePipeline:
                     report.gpu = GPUConvRunReport()
                 report.gpu.merge(result.gpu)
 
-        output = xp.concatenate([result.output for result in results], axis=0)
+        output = np.concatenate([result.output for result in results], axis=0)
         report.wall_time_s = time.perf_counter() - start_time
         return RunResult(output=output, report=report)
 
-    def conv2d(self, inputs: xp.ndarray, filters: xp.ndarray,
+    def conv2d(self, inputs: np.ndarray, filters: np.ndarray,
                multiplier: str | Multiplier | LookupTable | None = None,
-               **kwargs) -> xp.ndarray:
+               **kwargs) -> np.ndarray:
         """:meth:`run` without the report, for drop-in use."""
         return self.run(inputs, filters, multiplier, **kwargs).output
 
 
-def emulate_conv2d(inputs: xp.ndarray, filters: xp.ndarray,
+def emulate_conv2d(inputs: np.ndarray, filters: np.ndarray,
                    multiplier: str | Multiplier | LookupTable, *,
                    backend: str = "numpy",
                    strides=(1, 1), dilations=(1, 1), padding: str = "SAME",
@@ -385,7 +338,7 @@ def emulate_conv2d(inputs: xp.ndarray, filters: xp.ndarray,
                    max_workers: int = 1,
                    accumulator_bits: int | None = None,
                    saturate: bool = False,
-                   report: RunReport | None = None) -> xp.ndarray:
+                   report: RunReport | None = None) -> np.ndarray:
     """Emulate one approximate convolution through the backend registry.
 
     The single-call public API of the library: pick a multiplier (by library

@@ -23,8 +23,8 @@ Three backends ship by default:
     texture fetches and shared-memory traffic.
 
 User code plugs in additional engines with :func:`register_backend`; the
-registry mirrors :mod:`repro.multipliers.library` so the two extension
-points feel the same.
+registry is a :class:`repro.registry.Registry`, like the multiplier
+catalogue and the DSE strategies, with a per-name instance cache on top.
 """
 
 from __future__ import annotations
@@ -34,7 +34,8 @@ import threading
 from dataclasses import dataclass
 from typing import Callable
 
-from .. import xp
+import numpy as np
+
 from ..conv.approx_conv2d import (
     ApproxConvStats,
     PreparedConv,
@@ -44,13 +45,14 @@ from ..conv.reference import approx_conv2d_direct_quantized
 from ..errors import RegistryError
 from ..gpusim.device import GPUDevice
 from ..gpusim.engine import GPUConvRunReport, run_gpusim_chunk
+from ..registry import Registry
 
 
 @dataclass
 class ChunkResult:
     """Output of one backend chunk execution plus its accounting."""
 
-    output: xp.ndarray
+    output: np.ndarray
     stats: ApproxConvStats
     gpu: GPUConvRunReport | None = None
 
@@ -71,7 +73,7 @@ class ConvBackend(abc.ABC):
     name: str = "?"
 
     @abc.abstractmethod
-    def run_chunk(self, chunk: xp.ndarray, prepared: PreparedConv, *,
+    def run_chunk(self, chunk: np.ndarray, prepared: PreparedConv, *,
                   strides=(1, 1), dilations=(1, 1), padding: str = "SAME",
                   accumulator_bits: int | None = None,
                   saturate: bool = False) -> ChunkResult:
@@ -86,8 +88,8 @@ class ConvBackend(abc.ABC):
         return f"<ConvBackend {self.name!r}: {self.describe()}>"
 
 
-def _analytic_stats(chunk: xp.ndarray, prepared: PreparedConv,
-                    output: xp.ndarray) -> ApproxConvStats:
+def _analytic_stats(chunk: np.ndarray, prepared: PreparedConv,
+                    output: np.ndarray) -> ApproxConvStats:
     """Operation counts of one chunk, derived from the geometry.
 
     Backends that do not thread counters through their inner loops (the
@@ -111,17 +113,11 @@ def _analytic_stats(chunk: xp.ndarray, prepared: PreparedConv,
 class NumpyBackend(ConvBackend):
     """Vectorised im2col + LUT-GEMM engine (Algorithm 1, host NumPy).
 
-    ``kernel`` pins the LUT-GEMM kernel variant this instance dispatches to
-    (``"naive"``, ``"blocked"``, ``"numba"`` when available -- see
-    :func:`repro.conv.gemm.available_gemm_kernels`); ``None`` follows the
-    process-wide default.  The registered ``numba`` backend is exactly
-    ``NumpyBackend(kernel="numba")``: same im2col path, JIT inner loop.
+    The LUT-GEMM runs through :func:`repro.conv.gemm.lut_matmul`: the numba
+    JIT kernel when numba is importable, else the blocked NumPy kernel.
     """
 
     name = "numpy"
-
-    def __init__(self, kernel: str | None = None) -> None:
-        self.kernel = kernel
 
     def run_chunk(self, chunk, prepared, *, strides=(1, 1), dilations=(1, 1),
                   padding="SAME", accumulator_bits=None,
@@ -131,7 +127,7 @@ class NumpyBackend(ConvBackend):
             chunk, prepared,
             strides=strides, dilations=dilations, padding=padding,
             accumulator_bits=accumulator_bits, saturate=saturate,
-            kernel=self.kernel, stats=stats,
+            stats=stats,
         )
         return ChunkResult(output=output, stats=stats)
 
@@ -207,9 +203,10 @@ class GpusimBackend(ConvBackend):
 
 BackendFactory = Callable[[], ConvBackend]
 
-_REGISTRY: dict[str, BackendFactory] = {}
+_REGISTRY: Registry[BackendFactory] = Registry(
+    "backend", RegistryError, "registered backends")
 _INSTANCES: dict[str, ConvBackend] = {}
-_REGISTRY_LOCK = threading.Lock()
+_INSTANCES_LOCK = threading.Lock()
 
 
 def register_backend(name: str, backend: ConvBackend | BackendFactory, *,
@@ -219,43 +216,30 @@ def register_backend(name: str, backend: ConvBackend | BackendFactory, *,
     Raises :class:`~repro.errors.RegistryError` when the name is taken,
     unless ``overwrite`` is requested.
     """
-    with _REGISTRY_LOCK:
-        if not overwrite and name in _REGISTRY:
-            raise RegistryError(f"backend {name!r} is already registered")
-        if isinstance(backend, ConvBackend):
-            _REGISTRY[name] = lambda: backend
-        elif callable(backend):
-            _REGISTRY[name] = backend
-        else:
-            raise RegistryError(
-                "backend must be a ConvBackend instance or a factory, got "
-                f"{type(backend).__name__}"
-            )
+    factory = (lambda: backend) if isinstance(backend, ConvBackend) else backend
+    if not callable(factory):
+        raise RegistryError(
+            "backend must be a ConvBackend instance or a factory, got "
+            f"{type(backend).__name__}"
+        )
+    with _INSTANCES_LOCK:
+        _REGISTRY.register(name, factory, overwrite=overwrite)
         _INSTANCES.pop(name, None)
 
 
 def unregister_backend(name: str) -> None:
     """Remove a registered backend (unknown names raise ``RegistryError``)."""
-    with _REGISTRY_LOCK:
-        if name not in _REGISTRY:
-            raise RegistryError(f"backend {name!r} is not registered")
-        del _REGISTRY[name]
+    with _INSTANCES_LOCK:
+        _REGISTRY.unregister(name)
         _INSTANCES.pop(name, None)
 
 
 def get_backend(name: str) -> ConvBackend:
     """Return the (lazily instantiated, cached) backend called ``name``."""
-    with _REGISTRY_LOCK:
+    with _INSTANCES_LOCK:
         if name in _INSTANCES:
             return _INSTANCES[name]
-        try:
-            factory = _REGISTRY[name]
-        except KeyError:
-            known = ", ".join(sorted(_REGISTRY))
-            raise RegistryError(
-                f"unknown backend {name!r}; registered backends: {known}"
-            ) from None
-        instance = factory()
+        instance = _REGISTRY.lookup(name)()
         if not isinstance(instance, ConvBackend):
             raise RegistryError(
                 f"factory for backend {name!r} returned "
@@ -268,19 +252,8 @@ def get_backend(name: str) -> ConvBackend:
 
 def available_backends() -> list[str]:
     """Sorted names of every registered backend."""
-    with _REGISTRY_LOCK:
-        return sorted(_REGISTRY)
+    return _REGISTRY.names()
 
 
-def _register_defaults() -> None:
-    for factory in (NumpyBackend, CpusimBackend, GpusimBackend):
-        register_backend(factory.name, factory, overwrite=True)
-    # The JIT engine is the numpy backend with the numba LUT-GEMM kernel
-    # pinned; only registered when the capability probe finds the package,
-    # so `available_backends()` never advertises an engine that cannot run.
-    if xp.capabilities().get("numba"):  # pragma: no cover - numba CI leg only
-        register_backend(
-            "numba", lambda: NumpyBackend(kernel="numba"), overwrite=True)
-
-
-_register_defaults()
+for _factory in (NumpyBackend, CpusimBackend, GpusimBackend):
+    register_backend(_factory.name, _factory, overwrite=True)

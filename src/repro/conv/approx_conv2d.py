@@ -22,7 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .. import xp
+import numpy as np
+
+from .. import counters
 from ..errors import ConfigurationError, ShapeError
 from ..lut.table import LookupTable
 from ..quantization.affine import (
@@ -61,17 +63,12 @@ class ApproxConvStats:
     extra: dict = field(default_factory=dict)
 
     def merge(self, other: "ApproxConvStats") -> None:
-        """Accumulate another stats object into this one."""
-        self.lut_lookups += other.lut_lookups
-        self.quantized_values += other.quantized_values
-        self.dequantized_values += other.dequantized_values
-        self.patch_matrix_bytes += other.patch_matrix_bytes
-        self.output_values += other.output_values
-        self.chunks += other.chunks
-        self.macs += other.macs
+        """Accumulate another stats object's counts into this one
+        (``extra`` is not merged)."""
+        counters.add(self, other)
 
 
-def resolve_quant_params(values: xp.ndarray | None,
+def resolve_quant_params(values: np.ndarray | None,
                          value_range: TensorRange | tuple[float, float] | None,
                          qrange: IntegerRange,
                          round_mode: RoundMode | str) -> QuantParams:
@@ -120,8 +117,8 @@ class PreparedConv:
     lut: LookupTable
     input_q: QuantParams
     filter_q: QuantParams
-    flat_filters: xp.ndarray      #: quantised ``[K, F]`` int64 filter matrix
-    filter_sums: xp.ndarray       #: per-filter sums ``Sf`` (third sum of Eq. 4)
+    flat_filters: np.ndarray      #: quantised ``[K, F]`` int64 filter matrix
+    filter_sums: np.ndarray       #: per-filter sums ``Sf`` (third sum of Eq. 4)
     kernel_height: int
     kernel_width: int
     channels: int
@@ -132,7 +129,7 @@ class PreparedConv:
         """Accumulation depth ``N = kh * kw * channels`` of Eq. 4."""
         return self.kernel_height * self.kernel_width * self.channels
 
-    def quantized_filters_hwck(self) -> xp.ndarray:
+    def quantized_filters_hwck(self) -> np.ndarray:
         """Reshape the flat filter matrix back to the HWCK layout.
 
         ``flatten_filters`` is a pure reshape, so the round trip is exact;
@@ -144,7 +141,7 @@ class PreparedConv:
         )
 
 
-def validate_conv_operands(inputs: xp.ndarray, filters: xp.ndarray,
+def validate_conv_operands(inputs: np.ndarray, filters: np.ndarray,
                            lut: LookupTable, qrange: IntegerRange) -> None:
     """Shape/signedness validation shared by every convolution entry point."""
     if inputs.ndim != 4:
@@ -163,8 +160,8 @@ def validate_conv_operands(inputs: xp.ndarray, filters: xp.ndarray,
         )
 
 
-def quantize_filter_bank(filters: xp.ndarray, filter_q: QuantParams,
-                         ) -> tuple[xp.ndarray, xp.ndarray]:
+def quantize_filter_bank(filters: np.ndarray, filter_q: QuantParams,
+                         ) -> tuple[np.ndarray, np.ndarray]:
     """Quantise and flatten an HWCK filter bank and compute its sums ``Sf``.
 
     The one place the filter-side body of Algorithm 1 lives:
@@ -172,11 +169,11 @@ def quantize_filter_bank(filters: xp.ndarray, filter_q: QuantParams,
     :mod:`repro.backends` both call it, so the cached and uncached paths
     cannot drift apart numerically.
     """
-    flat = flatten_filters(filter_q.quantize(filters).astype(xp.int64))
+    flat = flatten_filters(filter_q.quantize(filters).astype(np.int64))
     return flat, filter_sums(flat)
 
 
-def prepare_conv2d(inputs: xp.ndarray, filters: xp.ndarray, lut: LookupTable, *,
+def prepare_conv2d(inputs: np.ndarray, filters: np.ndarray, lut: LookupTable, *,
                    input_range: TensorRange | tuple[float, float] | None = None,
                    filter_range: TensorRange | tuple[float, float] | None = None,
                    qrange: IntegerRange | None = None,
@@ -212,20 +209,18 @@ def prepare_conv2d(inputs: xp.ndarray, filters: xp.ndarray, lut: LookupTable, *,
     )
 
 
-def approx_conv2d_chunk(chunk: xp.ndarray, prepared: PreparedConv, *,
+def approx_conv2d_chunk(chunk: np.ndarray, prepared: PreparedConv, *,
                         strides=(1, 1), dilations=(1, 1),
                         padding: str = "SAME",
                         accumulator_bits: int | None = None,
                         saturate: bool = False,
-                        kernel: str | None = None,
-                        stats: ApproxConvStats | None = None) -> xp.ndarray:
+                        stats: ApproxConvStats | None = None) -> np.ndarray:
     """Run Im2Cols + ApproxGEMM on one chunk of a prepared convolution.
 
     This is the body of Algorithm 1's chunk loop as executed by the
     vectorised NumPy engine; :func:`approx_conv2d` and the ``numpy`` backend
     of :mod:`repro.backends` both call it, so their numerical behaviour is
-    one code path.  ``kernel`` selects the LUT-GEMM kernel variant (see
-    :func:`repro.conv.gemm.lut_matmul`); ``None`` uses the default.
+    one code path.
     """
     patches, patch_sums, geometry = im2col_quantized(
         chunk, prepared.kernel_height, prepared.kernel_width, prepared.input_q,
@@ -235,7 +230,6 @@ def approx_conv2d_chunk(chunk: xp.ndarray, prepared: PreparedConv, *,
         patches, patch_sums, prepared.flat_filters, prepared.filter_sums,
         prepared.input_q, prepared.filter_q, prepared.lut,
         accumulator_bits=accumulator_bits, saturate=saturate,
-        kernel=kernel,
     )
     count = prepared.filter_count
     if stats is not None:
@@ -251,7 +245,7 @@ def approx_conv2d_chunk(chunk: xp.ndarray, prepared: PreparedConv, *,
     )
 
 
-def approx_conv2d(inputs: xp.ndarray, filters: xp.ndarray, lut: LookupTable, *,
+def approx_conv2d(inputs: np.ndarray, filters: np.ndarray, lut: LookupTable, *,
                   strides=(1, 1), dilations=(1, 1), padding: str = "SAME",
                   input_range: TensorRange | tuple[float, float] | None = None,
                   filter_range: TensorRange | tuple[float, float] | None = None,
@@ -260,8 +254,7 @@ def approx_conv2d(inputs: xp.ndarray, filters: xp.ndarray, lut: LookupTable, *,
                   chunk_size: int = DEFAULT_CHUNK_SIZE,
                   accumulator_bits: int | None = None,
                   saturate: bool = False,
-                  kernel: str | None = None,
-                  stats: ApproxConvStats | None = None) -> xp.ndarray:
+                  stats: ApproxConvStats | None = None) -> np.ndarray:
     """Approximate 2D convolution emulating a LUT-multiplier accelerator.
 
     Parameters
@@ -288,9 +281,6 @@ def approx_conv2d(inputs: xp.ndarray, filters: xp.ndarray, lut: LookupTable, *,
         Number of images converted to the patch matrix at a time.
     accumulator_bits, saturate:
         Optional finite-accumulator model (see :func:`repro.conv.gemm.lut_matmul`).
-    kernel:
-        Optional LUT-GEMM kernel variant name (``"naive"``, ``"blocked"``,
-        ``"numba"`` when available); ``None`` uses the process default.
     stats:
         Optional :class:`ApproxConvStats` accumulating operation counts.
 
@@ -317,15 +307,15 @@ def approx_conv2d(inputs: xp.ndarray, filters: xp.ndarray, lut: LookupTable, *,
             inputs[start:stop], prepared,
             strides=strides, dilations=dilations, padding=padding,
             accumulator_bits=accumulator_bits, saturate=saturate,
-            kernel=kernel, stats=local_stats,
+            stats=local_stats,
         ))
 
-    return xp.concatenate(outputs, axis=0)
+    return np.concatenate(outputs, axis=0)
 
 
-def accurate_conv2d_reference(inputs: xp.ndarray, filters: xp.ndarray, *,
+def accurate_conv2d_reference(inputs: np.ndarray, filters: np.ndarray, *,
                               strides=(1, 1), dilations=(1, 1),
-                              padding: str = "SAME") -> xp.ndarray:
+                              padding: str = "SAME") -> np.ndarray:
     """Convenience alias for the accurate float convolution.
 
     Provided so user code can switch between the accurate and approximate

@@ -10,32 +10,14 @@ Two GEMM flavours are provided:
   integer accumulations are corrected with the pre-computed patch sums ``Sp``
   and filter sums ``Sf`` and the result is dequantised according to Eq. 4.
 
-The integer LUT product itself -- :func:`lut_matmul` -- dispatches through a
-small *kernel registry* mirroring :mod:`repro.backends.registry`.  Three
-variants ship by default:
-
-``naive``
-    The seed implementation: one row tile at a time, full-depth ``[T, K, F]``
-    int64 index tensor.  Kept as the reference the other variants must match
-    bit for bit.
-``blocked``
-    Cache-blocked gather-GEMM: the K dimension is walked in panels sized so
-    the stitched-index and product intermediates stay cache-resident, the
-    operand-to-index conversion is fused into a narrow pre-computed bit
-    plane (one ``&``/``<<`` per operand for the whole product, not per
-    tile), and the lookup gathers through :meth:`numpy.ndarray.take` in the
-    LUT's native 16-bit storage.  Bit-identical to ``naive`` (integer
-    addition is associative) at 2-3x the throughput; the default.
-``numba``
-    A JIT-compiled scalar loop (:mod:`repro.conv.gemm_numba`), registered
-    only when the capability probe (:func:`repro.xp.capabilities`) finds
-    numba installed, and then auto-selected as the default.
-
-Every kernel accepts a ``compute_dtype`` (``int32`` or the default
-``int64``): the accumulator width of the emulated MAC datapath.  ``int32``
-halves the accumulator bandwidth and is safe whenever
-``K * max|product| < 2**31``; overflow behaviour beyond that point is
-kernel-specific, exactly as it would be across real accelerator datapaths.
+The integer LUT product itself -- :func:`lut_matmul` -- runs one kernel,
+chosen on its first call from what the environment offers: the numba JIT
+kernel (:mod:`repro.conv.gemm_numba`) when numba is importable, else
+:func:`lut_matmul_blocked`, the cache-blocked NumPy gather-GEMM.
+:func:`lut_matmul_naive` is the plain reference implementation the other
+two must match bit for bit; the parity grid and the property suite use it
+as their oracle.  Every kernel accumulates in int64; ``accumulator_bits``
+and ``saturate`` model a narrower hardware accumulator.
 
 ``approx_gemm`` stays deliberately engine-agnostic: the kernels here, the
 direct CPU loop in :mod:`repro.conv.reference` and the simulated CUDA kernel
@@ -45,17 +27,14 @@ results, which the cross-kernel parity grid in the test-suite checks.
 
 from __future__ import annotations
 
-import os
-import threading
-from typing import Callable
+import functools
+import importlib.util
 
-from .. import xp
-from ..errors import ConfigurationError, RegistryError, ShapeError
+import numpy as np
+
+from ..errors import ConfigurationError, ShapeError
 from ..lut.table import LookupTable
 from ..quantization.affine import QuantParams
-
-#: Environment variable overriding the auto-selected LUT-GEMM kernel.
-ENV_KERNEL = "REPRO_GEMM_KERNEL"
 
 #: Default row-panel height of the blocked kernel (tuned so one panel's
 #: index + product intermediates fit in L2 for the bench shapes).
@@ -65,10 +44,10 @@ DEFAULT_BLOCK_ROWS = 128
 DEFAULT_BLOCK_K = 48
 
 
-def gemm_float(a: xp.ndarray, b: xp.ndarray) -> xp.ndarray:
+def gemm_float(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Plain float matrix multiplication with shape validation."""
-    a = xp.asarray(a, dtype=xp.float64)
-    b = xp.asarray(b, dtype=xp.float64)
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
     if a.ndim != 2 or b.ndim != 2:
         raise ShapeError("gemm_float expects two 2D matrices")
     if a.shape[1] != b.shape[0]:
@@ -90,23 +69,11 @@ def flat_index_dtype(bit_width: int):
     """
     if bit_width < 2 or bit_width > 16:
         raise ConfigurationError(f"bit width {bit_width} outside [2, 16]")
-    return xp.int32 if 2 * bit_width <= 31 else xp.int64
+    return np.int32 if 2 * bit_width <= 31 else np.int64
 
 
-def _resolve_compute_dtype(compute_dtype):
-    """Normalise the accumulator dtype parameter (int32/int64, default int64)."""
-    if compute_dtype is None:
-        return xp.int64
-    dtype = xp.dtype(compute_dtype)
-    if dtype not in (xp.dtype(xp.int32), xp.dtype(xp.int64)):
-        raise ConfigurationError(
-            f"compute_dtype must be int32 or int64, got {dtype}"
-        )
-    return dtype.type
-
-
-def _wrap_accumulator(values: xp.ndarray, accumulator_bits: int | None,
-                      saturate: bool) -> xp.ndarray:
+def _wrap_accumulator(values: np.ndarray, accumulator_bits: int | None,
+                      saturate: bool) -> np.ndarray:
     """Model a finite-width MAC accumulator.
 
     The paper's accelerator uses a 32-bit accumulator behind the 8-bit
@@ -118,18 +85,18 @@ def _wrap_accumulator(values: xp.ndarray, accumulator_bits: int | None,
         return values
     if accumulator_bits < 8 or accumulator_bits > 64:
         raise ConfigurationError("accumulator_bits must lie in [8, 64]")
-    lo = -(1 << (accumulator_bits - 1))
-    hi = (1 << (accumulator_bits - 1)) - 1
     if saturate:
-        return xp.clip(values, lo, hi)
-    span = 1 << accumulator_bits
-    wrapped = xp.mod(values - lo, span) + lo
-    return wrapped
+        hi = (1 << (accumulator_bits - 1)) - 1
+        return np.clip(values, -hi - 1, hi)
+    # Two's-complement wrap of the int64 values: shift the kept bits to the
+    # top and sign-extend them back down.
+    shift = 64 - accumulator_bits
+    return (values << shift) >> shift
 
 
 def _validate_lut_matmul_operands(patches, filters):
-    patches = xp.asarray(patches, dtype=xp.int64)
-    filters = xp.asarray(filters, dtype=xp.int64)
+    patches = np.asarray(patches, dtype=np.int64)
+    filters = np.asarray(filters, dtype=np.int64)
     if patches.ndim != 2 or filters.ndim != 2:
         raise ShapeError("lut_matmul expects 2D operands")
     if patches.shape[1] != filters.shape[0]:
@@ -139,32 +106,25 @@ def _validate_lut_matmul_operands(patches, filters):
     return patches, filters
 
 
-def lut_matmul_naive(patches: xp.ndarray, filters: xp.ndarray,
+def lut_matmul_naive(patches: np.ndarray, filters: np.ndarray,
                      lut: LookupTable, *, tile_rows: int = 256,
                      accumulator_bits: int | None = None,
-                     saturate: bool = False,
-                     compute_dtype=None, **_tuning) -> xp.ndarray:
-    """The seed LUT-GEMM kernel: row tiles over a full-depth index tensor.
+                     saturate: bool = False) -> np.ndarray:
+    """The reference LUT-GEMM kernel: row tiles over a full-depth index tensor.
 
-    ``patches`` has shape ``[P, K]`` (quantised patch rows), ``filters`` has
-    shape ``[K, F]`` (quantised filter columns).  The product is accumulated
-    in ``compute_dtype`` (default int64, optionally folded into a
-    finite-width accumulator) and returned as an ``[P, F]`` int64 matrix of
-    *approximate* dot products.
-
-    The computation is tiled over patch rows only, so the intermediate index
-    tensor is ``[tile_rows, K, F]`` -- small for the paper's layer shapes but
-    far outside cache for deep inputs, which is what the ``blocked`` kernel
-    fixes.  Kept verbatim as the bit-exact reference of the parity grid.
+    Same contract as :func:`lut_matmul`.  The computation is tiled over
+    patch rows only, so the intermediate index tensor is
+    ``[tile_rows, K, F]`` -- small for the paper's layer shapes but far
+    outside cache for deep inputs, which is what the blocked kernel fixes.
+    Kept as the bit-exact oracle of the parity grid and the property suite.
     """
     patches, filters = _validate_lut_matmul_operands(patches, filters)
     if tile_rows <= 0:
         raise ConfigurationError("tile_rows must be positive")
-    acc_dtype = _resolve_compute_dtype(compute_dtype)
 
     num_patches, depth = patches.shape
     num_filters = filters.shape[1]
-    result = xp.zeros((num_patches, num_filters), dtype=xp.int64)
+    result = np.zeros((num_patches, num_filters), dtype=np.int64)
 
     # Pre-stitch the filter half of the index once; the patch half is added
     # tile by tile.  Index = (patch_bits << n) | filter_bits.
@@ -176,19 +136,18 @@ def lut_matmul_naive(patches: xp.ndarray, filters: xp.ndarray,
         tile_bits = (tile & mask) << lut.bit_width      # [T, K]
         idx = tile_bits[:, :, None] | filter_bits[None, :, :]   # [T, K, F]
         products = lut.lookup_flat(idx)                 # [T, K, F] int64
-        acc = products.sum(axis=1, dtype=acc_dtype)     # [T, F]
+        acc = products.sum(axis=1, dtype=np.int64)      # [T, F]
         result[start:stop] = _wrap_accumulator(
-            acc.astype(xp.int64), accumulator_bits, saturate)
+            acc, accumulator_bits, saturate)
     return result
 
 
-def lut_matmul_blocked(patches: xp.ndarray, filters: xp.ndarray,
+def lut_matmul_blocked(patches: np.ndarray, filters: np.ndarray,
                        lut: LookupTable, *,
                        block_rows: int = DEFAULT_BLOCK_ROWS,
                        block_k: int = DEFAULT_BLOCK_K,
                        accumulator_bits: int | None = None,
-                       saturate: bool = False,
-                       compute_dtype=None, **_tuning) -> xp.ndarray:
+                       saturate: bool = False) -> np.ndarray:
     """Cache-blocked gather-GEMM over K panels with a fused index inner loop.
 
     Same contract as :func:`lut_matmul_naive`, restructured for memory
@@ -203,8 +162,8 @@ def lut_matmul_blocked(patches: xp.ndarray, filters: xp.ndarray,
       any depth ``K`` (the naive kernel's intermediates grow linearly with
       ``K``);
     * the gather reads the LUT's native 16-bit storage via ``take`` and sums
-      with an explicit ``compute_dtype`` accumulator, never materialising
-      the int64 product tensor the naive kernel allocates.
+      straight into an int64 accumulator, never materialising the int64
+      product tensor the naive kernel allocates.
 
     Partial K-panel sums are combined by integer addition, so the result is
     bit-identical to the naive kernel for every block size -- the hypothesis
@@ -213,7 +172,6 @@ def lut_matmul_blocked(patches: xp.ndarray, filters: xp.ndarray,
     patches, filters = _validate_lut_matmul_operands(patches, filters)
     if block_rows <= 0 or block_k <= 0:
         raise ConfigurationError("block_rows and block_k must be positive")
-    acc_dtype = _resolve_compute_dtype(compute_dtype)
 
     num_patches, depth = patches.shape
     num_filters = filters.shape[1]
@@ -226,169 +184,51 @@ def lut_matmul_blocked(patches: xp.ndarray, filters: xp.ndarray,
     patch_bits = ((patches & mask) << lut.bit_width).astype(idx_dtype)
     filter_bits = (filters & mask).astype(idx_dtype)
 
-    result = xp.zeros((num_patches, num_filters), dtype=xp.int64)
+    result = np.zeros((num_patches, num_filters), dtype=np.int64)
     for r0 in range(0, num_patches, block_rows):
         r1 = min(r0 + block_rows, num_patches)
-        acc = xp.zeros((r1 - r0, num_filters), dtype=acc_dtype)
+        acc = np.zeros((r1 - r0, num_filters), dtype=np.int64)
         for k0 in range(0, depth, block_k):
             k1 = min(k0 + block_k, depth)
             idx = patch_bits[r0:r1, k0:k1, None] | filter_bits[None, k0:k1, :]
-            acc += flat.take(idx).sum(axis=1, dtype=acc_dtype)
-        result[r0:r1] = _wrap_accumulator(
-            acc.astype(xp.int64), accumulator_bits, saturate)
+            acc += flat.take(idx).sum(axis=1, dtype=np.int64)
+        result[r0:r1] = _wrap_accumulator(acc, accumulator_bits, saturate)
     return result
 
 
-# ----------------------------------------------------------------------
-# Kernel registry (mirrors repro.backends.registry)
-# ----------------------------------------------------------------------
-GemmKernel = Callable[..., "xp.ndarray"]
+@functools.cache
+def _kernel():
+    """The kernel :func:`lut_matmul` runs: numba when importable, else blocked.
 
-_KERNELS: dict[str, GemmKernel] = {}
-_KERNEL_LOCK = threading.Lock()
-_DEFAULT_KERNEL_OVERRIDE: str | None = None
-_NUMBA_PROBED = False
-
-
-def register_gemm_kernel(name: str, kernel: GemmKernel, *,
-                         overwrite: bool = False) -> None:
-    """Register a LUT-GEMM kernel variant under ``name``.
-
-    A kernel is a callable ``kernel(patches, filters, lut, *,
-    accumulator_bits=None, saturate=False, compute_dtype=None, **tuning)``
-    returning the ``[P, F]`` int64 accumulator matrix, bit-identical to
-    :func:`lut_matmul_naive`.  Mirrors
-    :func:`repro.backends.register_backend`.
+    Resolved on the first call rather than at import, so ``import repro``
+    never imports numba.
     """
-    if not callable(kernel):
-        raise RegistryError(
-            f"gemm kernel must be callable, got {type(kernel).__name__}"
-        )
-    with _KERNEL_LOCK:
-        if not overwrite and name in _KERNELS:
-            raise RegistryError(f"gemm kernel {name!r} is already registered")
-        _KERNELS[name] = kernel
+    if importlib.util.find_spec("numba") is not None:  # pragma: no cover
+        from .gemm_numba import lut_matmul_numba   # numba CI leg only
+        return lut_matmul_numba
+    return lut_matmul_blocked
 
 
-def unregister_gemm_kernel(name: str) -> None:
-    """Remove a registered kernel variant (unknown names raise)."""
-    with _KERNEL_LOCK:
-        if name not in _KERNELS:
-            raise RegistryError(f"gemm kernel {name!r} is not registered")
-        del _KERNELS[name]
-
-
-def _ensure_numba_registered() -> bool:
-    """Lazily register the numba kernel when the capability probe allows it."""
-    global _NUMBA_PROBED
-    if _NUMBA_PROBED:
-        with _KERNEL_LOCK:
-            return "numba" in _KERNELS
-    _NUMBA_PROBED = True
-    if not xp.capabilities().get("numba", False):
-        return False
-    from .gemm_numba import lut_matmul_numba  # deferred: imports numba
-    register_gemm_kernel("numba", lut_matmul_numba, overwrite=True)
-    return True
-
-
-def available_gemm_kernels() -> list[str]:
-    """Sorted names of every registered kernel variant."""
-    _ensure_numba_registered()
-    with _KERNEL_LOCK:
-        return sorted(_KERNELS)
-
-
-def get_gemm_kernel(name: str) -> GemmKernel:
-    """Return the kernel registered under ``name`` (unknown names raise)."""
-    if name == "numba":
-        _ensure_numba_registered()
-    with _KERNEL_LOCK:
-        try:
-            return _KERNELS[name]
-        except KeyError:
-            known = ", ".join(sorted(_KERNELS))
-            raise RegistryError(
-                f"unknown gemm kernel {name!r}; registered kernels: {known}"
-            ) from None
-
-
-def set_default_gemm_kernel(name: str | None) -> None:
-    """Pin the kernel :func:`lut_matmul` dispatches to (None = auto-select)."""
-    global _DEFAULT_KERNEL_OVERRIDE
-    if name is not None:
-        get_gemm_kernel(name)   # validate eagerly
-    _DEFAULT_KERNEL_OVERRIDE = name
-
-
-def default_gemm_kernel() -> str:
-    """Kernel name :func:`lut_matmul` dispatches to when none is requested.
-
-    Resolution order: :func:`set_default_gemm_kernel` override, then the
-    ``REPRO_GEMM_KERNEL`` environment variable, then the capability probe --
-    ``numba`` when importable, else ``blocked``.
-    """
-    if _DEFAULT_KERNEL_OVERRIDE is not None:
-        return _DEFAULT_KERNEL_OVERRIDE
-    env = os.environ.get(ENV_KERNEL)
-    if env:
-        get_gemm_kernel(env)    # fail fast on typos
-        return env
-    if _ensure_numba_registered():
-        return "numba"
-    return "blocked"
-
-
-def lut_matmul(patches: xp.ndarray, filters: xp.ndarray, lut: LookupTable, *,
-               tile_rows: int = 256,
+def lut_matmul(patches: np.ndarray, filters: np.ndarray, lut: LookupTable, *,
                accumulator_bits: int | None = None,
-               saturate: bool = False,
-               kernel: str | None = None,
-               compute_dtype=None,
-               block_rows: int = DEFAULT_BLOCK_ROWS,
-               block_k: int = DEFAULT_BLOCK_K) -> xp.ndarray:
+               saturate: bool = False) -> np.ndarray:
     """Integer matrix product where every multiplication is a LUT lookup.
 
     ``patches`` has shape ``[P, K]`` (quantised patch rows), ``filters`` has
     shape ``[K, F]`` (quantised filter columns).  The product is returned as
-    an ``[P, F]`` int64 matrix of *approximate* dot products.
-
-    ``kernel`` selects the executing variant from the kernel registry
-    (``naive``, ``blocked``, ``numba`` when available, plus anything added
-    via :func:`register_gemm_kernel`); when omitted,
-    :func:`default_gemm_kernel` picks the fastest variant the environment
-    supports.  All variants are bit-identical; ``tile_rows`` tunes the naive
-    kernel, ``block_rows``/``block_k`` the blocked one, and
-    ``compute_dtype`` selects the accumulator width (int32 vs int64) of any
-    of them.
+    an ``[P, F]`` int64 matrix of *approximate* dot products, accumulated in
+    int64 and optionally folded into an ``accumulator_bits``-wide
+    accumulator that wraps (or, with ``saturate``, clips).  Runs the numba
+    kernel when numba is importable, else :func:`lut_matmul_blocked`; both
+    are bit-identical to :func:`lut_matmul_naive`.
     """
-    if tile_rows <= 0:
-        raise ConfigurationError("tile_rows must be positive")
-    if block_rows <= 0 or block_k <= 0:
-        raise ConfigurationError("block_rows and block_k must be positive")
-    run = get_gemm_kernel(kernel if kernel is not None else default_gemm_kernel())
-    return run(
-        patches, filters, lut,
-        accumulator_bits=accumulator_bits,
-        saturate=saturate,
-        compute_dtype=compute_dtype,
-        tile_rows=tile_rows,
-        block_rows=block_rows,
-        block_k=block_k,
-    )
+    return _kernel()(patches, filters, lut,
+                     accumulator_bits=accumulator_bits, saturate=saturate)
 
 
-def _register_default_kernels() -> None:
-    register_gemm_kernel("naive", lut_matmul_naive, overwrite=True)
-    register_gemm_kernel("blocked", lut_matmul_blocked, overwrite=True)
-
-
-_register_default_kernels()
-
-
-def dequantize_gemm(acc: xp.ndarray, patch_sums: xp.ndarray,
-                    filter_sums: xp.ndarray, depth: int,
-                    input_q: QuantParams, filter_q: QuantParams) -> xp.ndarray:
+def dequantize_gemm(acc: np.ndarray, patch_sums: np.ndarray,
+                    filter_sums: np.ndarray, depth: int,
+                    input_q: QuantParams, filter_q: QuantParams) -> np.ndarray:
     """Apply the Eq. 4 correction and dequantisation to integer accumulators.
 
     ``acc[p, f]`` is the (approximate) sum of quantised products for patch
@@ -398,9 +238,9 @@ def dequantize_gemm(acc: xp.ndarray, patch_sums: xp.ndarray,
 
     ``alpha1*alpha2 * (acc - beta2*Sp - beta1*Sf + N*beta1*beta2)``.
     """
-    acc = xp.asarray(acc, dtype=xp.float64)
-    patch_sums = xp.asarray(patch_sums, dtype=xp.float64)
-    filter_sums = xp.asarray(filter_sums, dtype=xp.float64)
+    acc = np.asarray(acc, dtype=np.float64)
+    patch_sums = np.asarray(patch_sums, dtype=np.float64)
+    filter_sums = np.asarray(filter_sums, dtype=np.float64)
     if acc.ndim != 2:
         raise ShapeError("accumulator matrix must be 2D")
     if patch_sums.shape[0] != acc.shape[0]:
@@ -424,28 +264,19 @@ def dequantize_gemm(acc: xp.ndarray, patch_sums: xp.ndarray,
     return alpha1 * alpha2 * corrected
 
 
-def approx_gemm(patches: xp.ndarray, patch_sums: xp.ndarray,
-                filters: xp.ndarray, filter_sums: xp.ndarray,
+def approx_gemm(patches: np.ndarray, patch_sums: np.ndarray,
+                filters: np.ndarray, filter_sums: np.ndarray,
                 input_q: QuantParams, filter_q: QuantParams,
-                lut: LookupTable, *, tile_rows: int = 256,
+                lut: LookupTable, *,
                 accumulator_bits: int | None = None,
-                saturate: bool = False,
-                kernel: str | None = None,
-                compute_dtype=None) -> xp.ndarray:
+                saturate: bool = False) -> np.ndarray:
     """The ``ApproxGEMM`` step of Algorithm 1.
 
     Multiplies the quantised patch matrix with the quantised filter matrix
-    through the multiplier LUT and returns the dequantised float output of
-    shape ``[patches, filters]``.  ``kernel`` and ``compute_dtype`` select
-    the LUT-GEMM variant and accumulator width (see :func:`lut_matmul`).
+    through the multiplier LUT (:func:`lut_matmul`) and returns the
+    dequantised float output of shape ``[patches, filters]``.
     """
-    acc = lut_matmul(
-        patches, filters, lut,
-        tile_rows=tile_rows,
-        accumulator_bits=accumulator_bits,
-        saturate=saturate,
-        kernel=kernel,
-        compute_dtype=compute_dtype,
-    )
+    acc = lut_matmul(patches, filters, lut,
+                     accumulator_bits=accumulator_bits, saturate=saturate)
     depth = patches.shape[1]
     return dequantize_gemm(acc, patch_sums, filter_sums, depth, input_q, filter_q)

@@ -1,9 +1,8 @@
 """Numba-JIT LUT-GEMM kernel variant.
 
-This module is imported lazily by :func:`repro.conv.gemm.default_gemm_kernel`
-and only when the capability probe (:func:`repro.xp.capabilities`) reports
-numba as installed, so the package as a whole carries no hard numba
-dependency.  The kernel is the scalar three-loop formulation the CUDA kernel
+:func:`repro.conv.gemm.lut_matmul` imports this module on its first call,
+and only when numba is importable, so the package as a whole carries no
+hard numba dependency.  The kernel is the scalar three-loop formulation the CUDA kernel
 compiles to -- one table gather per MAC, accumulated in a 64-bit register --
 which the JIT turns into tight native code with none of the index-tensor
 materialisation the vectorised kernels pay for.
@@ -16,11 +15,11 @@ matrix leg with numba and one without to keep both paths green).
 
 from __future__ import annotations
 
-from .. import xp
+import numpy as np
+
 from ..errors import ConfigurationError
 from ..lut.table import LookupTable
 from .gemm import (
-    _resolve_compute_dtype,
     _validate_lut_matmul_operands,
     _wrap_accumulator,
     flat_index_dtype,
@@ -30,8 +29,8 @@ try:  # pragma: no cover - exercised only on the numba CI leg
     from numba import njit
 except ImportError as _exc:  # pragma: no cover
     raise ConfigurationError(
-        "repro.conv.gemm_numba requires the numba package; install numba or "
-        "use the 'blocked'/'naive' gemm kernels"
+        "repro.conv.gemm_numba requires the numba package; without it "
+        "lut_matmul runs the blocked NumPy kernel"
     ) from _exc
 
 
@@ -47,28 +46,18 @@ def _lut_gemm_jit(patch_bits, filter_bits, flat, out):  # pragma: no cover
             out[p, f] = acc
 
 
-def lut_matmul_numba(patches: xp.ndarray, filters: xp.ndarray,
+def lut_matmul_numba(patches: np.ndarray, filters: np.ndarray,
                      lut: LookupTable, *,
                      accumulator_bits: int | None = None,
-                     saturate: bool = False,
-                     compute_dtype=None, **_tuning) -> xp.ndarray:
-    """JIT-compiled scalar LUT-GEMM; same contract as ``lut_matmul_naive``.
-
-    ``compute_dtype`` is accepted for interface parity but the JIT loop
-    always carries a 64-bit register accumulator (free on every 64-bit
-    target); int32 is validated and then widened.
-    """
+                     saturate: bool = False) -> np.ndarray:
+    """JIT-compiled scalar LUT-GEMM; same contract as ``lut_matmul_naive``."""
     patches, filters = _validate_lut_matmul_operands(patches, filters)
-    _resolve_compute_dtype(compute_dtype)   # validate the parameter
 
     idx_dtype = flat_index_dtype(lut.bit_width)
     mask = (1 << lut.bit_width) - 1
     patch_bits = ((patches & mask) << lut.bit_width).astype(idx_dtype)
     filter_bits = (filters & mask).astype(idx_dtype)
 
-    result = xp.zeros((patches.shape[0], filters.shape[1]), dtype=xp.int64)
-    # numpy-backed memory only: a swapped-in array backend (e.g. cupy) does
-    # not expose host buffers the JIT can walk.
-    _lut_gemm_jit(xp.asarray(patch_bits), xp.asarray(filter_bits),
-                  xp.asarray(lut.flat), result)
+    result = np.zeros((patches.shape[0], filters.shape[1]), dtype=np.int64)
+    _lut_gemm_jit(patch_bits, filter_bits, lut.flat, result)
     return _wrap_accumulator(result, accumulator_bits, saturate)

@@ -18,13 +18,14 @@ Two entry points are provided:
 
 from __future__ import annotations
 
-from .. import xp
+import numpy as np
+
 from ..errors import ShapeError
 from ..quantization.affine import QuantParams
 from .padding import ConvGeometry, resolve_geometry
 
 
-def _check_nhwc(inputs: xp.ndarray) -> None:
+def _check_nhwc(inputs: np.ndarray) -> None:
     if inputs.ndim != 4:
         raise ShapeError(
             f"expected a 4D NHWC input tensor, got shape {inputs.shape}"
@@ -32,7 +33,7 @@ def _check_nhwc(inputs: xp.ndarray) -> None:
 
 
 def _patch_indices(geometry: ConvGeometry, channels: int
-                   ) -> tuple[xp.ndarray, xp.ndarray, xp.ndarray]:
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gather indices mapping padded input pixels to patch-matrix columns.
 
     Returns ``(rows, cols, chans)`` arrays of shape
@@ -40,17 +41,17 @@ def _patch_indices(geometry: ConvGeometry, channels: int
     indexing a padded NHWC image.
     """
     g = geometry
-    ky = xp.arange(g.kernel_height) * g.dilation_h
-    kx = xp.arange(g.kernel_width) * g.dilation_w
-    oy = xp.arange(g.output_height) * g.stride_h
-    ox = xp.arange(g.output_width) * g.stride_w
+    ky = np.arange(g.kernel_height) * g.dilation_h
+    kx = np.arange(g.kernel_width) * g.dilation_w
+    oy = np.arange(g.output_height) * g.stride_h
+    ox = np.arange(g.output_width) * g.stride_w
 
     # Row index of every (output position, kernel tap) pair.
     rows = (oy[:, None, None, None] + ky[None, None, :, None])  # [OH,1,KH,1]
     cols = (ox[None, :, None, None] + kx[None, None, None, :])  # [1,OW,1,KW]
-    rows = xp.broadcast_to(
+    rows = np.broadcast_to(
         rows, (g.output_height, g.output_width, g.kernel_height, g.kernel_width))
-    cols = xp.broadcast_to(
+    cols = np.broadcast_to(
         cols, (g.output_height, g.output_width, g.kernel_height, g.kernel_width))
 
     rows = rows.reshape(g.patch_positions, -1)          # [P, KH*KW]
@@ -58,16 +59,16 @@ def _patch_indices(geometry: ConvGeometry, channels: int
 
     # Expand over channels (channel is the fastest changing index, matching
     # the NHWC layout and the HWCK filter flattening).
-    rows = xp.repeat(rows, channels, axis=1)
-    cols = xp.repeat(cols, channels, axis=1)
-    chans = xp.tile(xp.arange(channels), g.kernel_height * g.kernel_width)
-    chans = xp.broadcast_to(chans, (g.patch_positions, chans.size))
+    rows = np.repeat(rows, channels, axis=1)
+    cols = np.repeat(cols, channels, axis=1)
+    chans = np.tile(np.arange(channels), g.kernel_height * g.kernel_width)
+    chans = np.broadcast_to(chans, (g.patch_positions, chans.size))
     return rows, cols, chans
 
 
-def im2col(inputs: xp.ndarray, kernel_height: int, kernel_width: int, *,
+def im2col(inputs: np.ndarray, kernel_height: int, kernel_width: int, *,
            strides=(1, 1), dilations=(1, 1), padding: str = "SAME",
-           pad_value: float = 0.0) -> tuple[xp.ndarray, ConvGeometry]:
+           pad_value: float = 0.0) -> tuple[np.ndarray, ConvGeometry]:
     """Extract convolution patches from an NHWC batch.
 
     Returns a matrix of shape ``(N * out_h * out_w, kernel_h * kernel_w * C)``
@@ -79,7 +80,7 @@ def im2col(inputs: xp.ndarray, kernel_height: int, kernel_width: int, *,
         in_h, in_w, kernel_height, kernel_width,
         strides=strides, dilations=dilations, padding=padding,
     )
-    padded = xp.pad(
+    padded = np.pad(
         inputs,
         ((0, 0),
          (geometry.pad_top, geometry.pad_bottom),
@@ -95,10 +96,10 @@ def im2col(inputs: xp.ndarray, kernel_height: int, kernel_width: int, *,
     return patches, geometry
 
 
-def im2col_quantized(inputs: xp.ndarray, kernel_height: int, kernel_width: int,
+def im2col_quantized(inputs: np.ndarray, kernel_height: int, kernel_width: int,
                      qparams: QuantParams, *, strides=(1, 1), dilations=(1, 1),
                      padding: str = "SAME",
-                     ) -> tuple[xp.ndarray, xp.ndarray, ConvGeometry]:
+                     ) -> tuple[np.ndarray, np.ndarray, ConvGeometry]:
     """Quantise an NHWC batch and build the patch matrix and patch sums.
 
     This is the ``Im2Cols`` step of Algorithm 1: the returned ``Mp`` holds the
@@ -115,7 +116,7 @@ def im2col_quantized(inputs: xp.ndarray, kernel_height: int, kernel_width: int,
         strides=strides, dilations=dilations, padding=padding,
     )
     quantized = qparams.quantize(inputs)
-    padded = xp.pad(
+    padded = np.pad(
         quantized,
         ((0, 0),
          (geometry.pad_top, geometry.pad_bottom),
@@ -126,13 +127,13 @@ def im2col_quantized(inputs: xp.ndarray, kernel_height: int, kernel_width: int,
     rows, cols, chans = _patch_indices(geometry, channels)
     patches = padded[:, rows, cols, chans]
     patches = patches.reshape(batch * geometry.patch_positions, -1)
-    patch_sums = patches.sum(axis=1, dtype=xp.int64)
-    return patches.astype(xp.int64), patch_sums, geometry
+    patch_sums = patches.sum(axis=1, dtype=np.int64)
+    return patches.astype(np.int64), patch_sums, geometry
 
 
-def col2im(patches: xp.ndarray, input_shape, kernel_height: int,
+def col2im(patches: np.ndarray, input_shape, kernel_height: int,
            kernel_width: int, *, strides=(1, 1), dilations=(1, 1),
-           padding: str = "SAME") -> xp.ndarray:
+           padding: str = "SAME") -> np.ndarray:
     """Scatter-add patch-matrix rows back onto an NHWC tensor.
 
     This is the adjoint of :func:`im2col`: every patch value is added to the
@@ -153,22 +154,22 @@ def col2im(patches: xp.ndarray, input_shape, kernel_height: int,
             f"patch matrix has shape {patches.shape}, expected {expected} for "
             f"input shape {tuple(input_shape)}"
         )
-    padded = xp.zeros(
+    padded = np.zeros(
         (batch, geometry.padded_height, geometry.padded_width, channels),
-        dtype=xp.float64,
+        dtype=np.float64,
     )
     rows, cols, chans = _patch_indices(geometry, channels)
     values = patches.reshape(batch, geometry.patch_positions, -1)
-    xp.add.at(
+    np.add.at(
         padded,
-        (xp.arange(batch)[:, None, None], rows[None], cols[None], chans[None]),
+        (np.arange(batch)[:, None, None], rows[None], cols[None], chans[None]),
         values,
     )
     return padded[:, geometry.pad_top:geometry.pad_top + in_h,
                   geometry.pad_left:geometry.pad_left + in_w, :]
 
 
-def flatten_filters(filters: xp.ndarray) -> xp.ndarray:
+def flatten_filters(filters: np.ndarray) -> np.ndarray:
     """Flatten an HWCK filter bank into the GEMM filter matrix.
 
     Each column of the result corresponds to one filter; the row order
@@ -183,7 +184,7 @@ def flatten_filters(filters: xp.ndarray) -> xp.ndarray:
     return filters.reshape(kh * kw * channels, count)
 
 
-def filter_sums(quantized_filters: xp.ndarray) -> xp.ndarray:
+def filter_sums(quantized_filters: np.ndarray) -> np.ndarray:
     """Per-filter sums ``Sf`` of quantised filter values (third sum of Eq. 4).
 
     ``quantized_filters`` is the flattened GEMM filter matrix (rows = kernel
@@ -194,4 +195,4 @@ def filter_sums(quantized_filters: xp.ndarray) -> xp.ndarray:
             "filter_sums expects the flattened [taps, filters] matrix, got "
             f"shape {quantized_filters.shape}"
         )
-    return quantized_filters.sum(axis=0, dtype=xp.int64)
+    return quantized_filters.sum(axis=0, dtype=np.int64)

@@ -15,7 +15,8 @@ loops and one LUT access per multiplication.  Two things are provided here:
 
 from __future__ import annotations
 
-from .. import xp
+import numpy as np
+
 from ..errors import ConfigurationError
 from ..gpusim.timing import PhaseTimes
 from ..hwspec import CPUSpec, XEON_E5_2620
@@ -99,10 +100,10 @@ class CPUTimingModel:
         )
 
 
-def run_direct_reference(inputs: xp.ndarray, filters: xp.ndarray,
+def run_direct_reference(inputs: np.ndarray, filters: np.ndarray,
                          lut: LookupTable, input_q: QuantParams,
                          filter_q: QuantParams, *, strides=(1, 1),
-                         dilations=(1, 1), padding: str = "SAME") -> xp.ndarray:
+                         dilations=(1, 1), padding: str = "SAME") -> np.ndarray:
     """Run the functional direct-loop engine (small tensors only).
 
     This is the algorithm whose performance the :class:`CPUTimingModel`

@@ -25,12 +25,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .. import counters
 from ..backends.cache import (
     DEFAULT_FILTER_CACHE,
     DEFAULT_LUT_CACHE,
     CacheStats,
 )
-from ..backends.pipeline import RunReport, _cache_delta
+from ..backends.pipeline import RunReport
 from ..errors import DSEError
 from ..quantization.rounding import RoundMode
 from .evaluator import CandidateResult, Evaluator
@@ -311,8 +312,9 @@ def search(model_builder, dataset, *,
         front=broker.front,
         history=broker.history,
         space=evaluator.space,
-        lut_cache=_cache_delta(DEFAULT_LUT_CACHE.stats_snapshot(), lut_before),
-        filter_cache=_cache_delta(
+        lut_cache=counters.difference(
+            DEFAULT_LUT_CACHE.stats_snapshot(), lut_before),
+        filter_cache=counters.difference(
             DEFAULT_FILTER_CACHE.stats_snapshot(), filters_before),
     )
     for result in broker.history:

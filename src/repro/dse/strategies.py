@@ -22,7 +22,8 @@ The three built-ins cover the span the DSE literature uses as baselines:
     the multi-objective workhorse of the approximate-computing DSE papers.
 
 Register additional strategies with :func:`register_strategy`; the registry
-mirrors :mod:`repro.multipliers.library` and the backend registry.
+is a :class:`repro.registry.Registry`, like the multiplier library and the
+backend registry.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from typing import Callable
 import numpy as np
 
 from ..errors import DSEError
+from ..registry import Registry
 from .evaluator import CandidateResult
 from .pareto import crowding_distance, non_dominated_sort
 from .space import SearchSpace
@@ -212,13 +214,10 @@ def _unique_results(results: list[CandidateResult]) -> list[CandidateResult]:
     return unique
 
 
-# ----------------------------------------------------------------------
-# Strategy registry (mirrors the multiplier library / backend registry).
-# ----------------------------------------------------------------------
-
 StrategyFactory = Callable[..., SearchStrategy]
 
-_STRATEGIES: dict[str, StrategyFactory] = {}
+_STRATEGIES: Registry[StrategyFactory] = Registry(
+    "strategy", DSEError, "registered strategies")
 
 
 def register_strategy(name: str, factory: StrategyFactory, *,
@@ -228,26 +227,17 @@ def register_strategy(name: str, factory: StrategyFactory, *,
     Raises :class:`~repro.errors.DSEError` when the name is taken, unless
     ``overwrite`` is requested.
     """
-    if not overwrite and name in _STRATEGIES:
-        raise DSEError(f"strategy {name!r} is already registered")
-    _STRATEGIES[name] = factory
+    _STRATEGIES.register(name, factory, overwrite=overwrite)
 
 
 def create_strategy(name: str, **params) -> SearchStrategy:
     """Instantiate the registered strategy called ``name``."""
-    try:
-        factory = _STRATEGIES[name]
-    except KeyError:
-        known = ", ".join(sorted(_STRATEGIES))
-        raise DSEError(
-            f"unknown strategy {name!r}; registered strategies: {known}"
-        ) from None
-    return factory(**params)
+    return _STRATEGIES.lookup(name)(**params)
 
 
 def available_strategies() -> list[str]:
     """Sorted names of every registered strategy."""
-    return sorted(_STRATEGIES)
+    return _STRATEGIES.names()
 
 
 for _factory in (RandomStrategy, GreedyStrategy, NSGA2Strategy):

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .. import xp
+import numpy as np
+
+from .. import counters
 from ..conv.approx_conv2d import PreparedConv, prepare_conv2d, split_chunks
 from ..errors import ConfigurationError
 from ..lut.table import LookupTable
@@ -40,21 +42,16 @@ class GPUConvRunReport:
 
     def merge(self, other: "GPUConvRunReport") -> None:
         """Accumulate another run report (e.g. one chunk's) into this one."""
-        self.chunks += other.chunks
-        self.kernel_launches += other.kernel_launches
-        self.texture_fetches += other.texture_fetches
-        self.atomic_adds += other.atomic_adds
-        self.shared_bytes += other.shared_bytes
-        self.patch_values += other.patch_values
+        counters.add(self, other)
         if other.lut_name:
             self.lut_name = other.lut_name
         self.per_chunk.extend(other.per_chunk)
 
 
-def run_gpusim_chunk(device: GPUDevice, chunk: xp.ndarray,
+def run_gpusim_chunk(device: GPUDevice, chunk: np.ndarray,
                      prepared: PreparedConv, *, strides=(1, 1),
                      dilations=(1, 1), padding: str = "SAME",
-                     ) -> tuple[xp.ndarray, GPUConvRunReport]:
+                     ) -> tuple[np.ndarray, GPUConvRunReport]:
     """Execute one chunk of Algorithm 1 on the simulated device.
 
     Launches the Im2Cols and ApproxGEMM kernels for a single chunk of a
@@ -106,14 +103,14 @@ class GPUConvolutionEngine:
         self.device = device if device is not None else GPUDevice()
         self.chunk_size = chunk_size
 
-    def approx_conv2d(self, inputs: xp.ndarray, filters: xp.ndarray,
+    def approx_conv2d(self, inputs: np.ndarray, filters: np.ndarray,
                       lut: LookupTable, *, strides=(1, 1), dilations=(1, 1),
                       padding: str = "SAME",
                       input_range: TensorRange | tuple[float, float] | None = None,
                       filter_range: TensorRange | tuple[float, float] | None = None,
                       qrange: IntegerRange = SIGNED_8BIT,
                       round_mode: RoundMode | str = RoundMode.HALF_AWAY_FROM_ZERO,
-                      report: GPUConvRunReport | None = None) -> xp.ndarray:
+                      report: GPUConvRunReport | None = None) -> np.ndarray:
         """Algorithm 1 on the simulated device; returns the NHWC float output."""
         # ComputeCoeffs + filter quantisation through the shared path.
         prepared = prepare_conv2d(
@@ -134,4 +131,4 @@ class GPUConvolutionEngine:
             outputs.append(output)
             report.merge(chunk_report)
 
-        return xp.concatenate(outputs, axis=0)
+        return np.concatenate(outputs, axis=0)

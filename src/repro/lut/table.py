@@ -15,7 +15,8 @@ place.
 
 from __future__ import annotations
 
-from .. import xp
+import numpy as np
+
 from ..errors import BitWidthError, TruthTableError
 from ..multipliers.base import Multiplier
 from ..multipliers.truthtable import validate_table
@@ -40,7 +41,7 @@ class LookupTable:
         Identifier used in reports; defaults to ``"lut"``.
     """
 
-    def __init__(self, table: xp.ndarray, *, bit_width: int = 8,
+    def __init__(self, table: np.ndarray, *, bit_width: int = 8,
                  signed: bool = False, name: str = "lut") -> None:
         if bit_width < 2 or bit_width > 16:
             raise BitWidthError(f"bit width {bit_width} outside [2, 16]")
@@ -51,10 +52,10 @@ class LookupTable:
         # 16-bit storage reproduces the 128 kB footprint quoted by the paper
         # for 8-bit multipliers; wider products fall back to 32 bits.
         if 2 * bit_width <= 16:
-            storage = xp.int16 if signed else xp.uint16
+            storage = np.int16 if signed else np.uint16
         else:
-            storage = xp.int32
-        self._flat = xp.ascontiguousarray(table.reshape(-1).astype(storage))
+            storage = np.int32
+        self._flat = np.ascontiguousarray(table.reshape(-1).astype(storage))
         self._table_2d = table
 
     # ------------------------------------------------------------------
@@ -96,7 +97,7 @@ class LookupTable:
         return self._flat.nbytes
 
     @property
-    def flat(self) -> xp.ndarray:
+    def flat(self) -> np.ndarray:
         """Read-only view of the flat table (what the texture object binds)."""
         view = self._flat.view()
         view.setflags(write=False)
@@ -124,9 +125,9 @@ class LookupTable:
     # ------------------------------------------------------------------
     # Index construction and lookups
     # ------------------------------------------------------------------
-    def _to_bits(self, values: xp.ndarray) -> xp.ndarray:
+    def _to_bits(self, values: np.ndarray) -> np.ndarray:
         """Map quantised operand values to raw bit patterns."""
-        values = xp.asarray(values, dtype=xp.int64)
+        values = np.asarray(values, dtype=np.int64)
         lo, hi = self.operand_min, self.operand_max
         if values.size:
             vmin, vmax = int(values.min()), int(values.max())
@@ -138,14 +139,14 @@ class LookupTable:
         mask = (1 << self._bit_width) - 1
         return values & mask
 
-    def stitch_index(self, a, b) -> xp.ndarray:
+    def stitch_index(self, a, b) -> np.ndarray:
         """Stitch two quantised operands into the flat texture index.
 
         This mirrors the CUDA kernel: ``index = (bits(a) << n) | bits(b)``,
         giving a 16-bit index for 8-bit operands.
         """
-        a_bits = self._to_bits(xp.asarray(a))
-        b_bits = self._to_bits(xp.asarray(b))
+        a_bits = self._to_bits(np.asarray(a))
+        b_bits = self._to_bits(np.asarray(b))
         return (a_bits << self._bit_width) | b_bits
 
     def lookup(self, a, b):
@@ -155,34 +156,34 @@ class LookupTable:
         returned as ``int64`` so downstream accumulation never overflows.
         """
         idx = self.stitch_index(a, b)
-        products = self._flat[idx].astype(xp.int64)
-        if xp.isscalar(a) and xp.isscalar(b):
+        products = self._flat[idx].astype(np.int64)
+        if np.isscalar(a) and np.isscalar(b):
             return int(products)
         return products
 
-    def lookup_flat(self, indices: xp.ndarray) -> xp.ndarray:
+    def lookup_flat(self, indices: np.ndarray) -> np.ndarray:
         """Fetch products for pre-stitched indices (texture-fetch semantics)."""
-        indices = xp.asarray(indices)
+        indices = np.asarray(indices)
         if indices.size and (indices.min() < 0 or indices.max() >= self.size):
             raise TruthTableError(
                 f"stitched index outside [0, {self.size})"
             )
-        return self._flat[indices].astype(xp.int64)
+        return self._flat[indices].astype(np.int64)
 
-    def dense(self) -> xp.ndarray:
+    def dense(self) -> np.ndarray:
         """Return the dense ``2**n x 2**n`` truth table (a copy)."""
         return self._table_2d.copy()
 
     # ------------------------------------------------------------------
-    def error_versus_exact(self) -> xp.ndarray:
+    def error_versus_exact(self) -> np.ndarray:
         """Return the dense signed error table against exact multiplication."""
-        values = xp.arange(1 << self._bit_width, dtype=xp.int64)
+        values = np.arange(1 << self._bit_width, dtype=np.int64)
         if self._signed:
             half = 1 << (self._bit_width - 1)
-            values = xp.where(values >= half, values - (1 << self._bit_width), values)
-        a_grid, b_grid = xp.meshgrid(values, values, indexing="ij")
-        return self._table_2d.astype(xp.int64) - a_grid * b_grid
+            values = np.where(values >= half, values - (1 << self._bit_width), values)
+        a_grid, b_grid = np.meshgrid(values, values, indexing="ij")
+        return self._table_2d.astype(np.int64) - a_grid * b_grid
 
     def is_exact(self) -> bool:
         """True when the table encodes an exact multiplier."""
-        return not xp.any(self.error_versus_exact())
+        return not np.any(self.error_versus_exact())

@@ -7,8 +7,9 @@ multiplier configuration has a stable string name, the registry can build an
 instance from that name, and user code can register additional designs
 (including ones loaded from truth-table files).
 
-The registry is intentionally a plain module-level dictionary of factory
-functions so examples and benchmarks can iterate over the whole catalogue.
+The registry is a :class:`repro.registry.Registry` of factory functions, the
+same type the backend and DSE-strategy registries use; examples and
+benchmarks iterate over the whole catalogue through :func:`available`.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 from typing import Callable, Iterator
 
 from ..errors import RegistryError
+from ..registry import Registry
 from .base import ExactMultiplier, Multiplier, TableMultiplier
 from .broken_array import BrokenArrayMultiplier
 from .drum import DRUMMultiplier
@@ -27,7 +29,8 @@ from .truncated import TruncatedOperandMultiplier, TruncatedProductMultiplier
 
 MultiplierFactory = Callable[[], Multiplier]
 
-_REGISTRY: dict[str, MultiplierFactory] = {}
+_REGISTRY: Registry[MultiplierFactory] = Registry(
+    "multiplier", RegistryError, "known multipliers")
 
 
 def register(name: str, factory: MultiplierFactory, *,
@@ -37,9 +40,7 @@ def register(name: str, factory: MultiplierFactory, *,
     Raises :class:`~repro.errors.RegistryError` when the name is already in
     use, unless ``overwrite`` is requested.
     """
-    if not overwrite and name in _REGISTRY:
-        raise RegistryError(f"multiplier {name!r} is already registered")
-    _REGISTRY[name] = factory
+    _REGISTRY.register(name, factory, overwrite=overwrite)
 
 
 def register_table(name: str, table, *, bit_width: int = 8,
@@ -54,19 +55,12 @@ def register_table(name: str, table, *, bit_width: int = 8,
 
 def create(name: str) -> Multiplier:
     """Instantiate the registered multiplier called ``name``."""
-    try:
-        factory = _REGISTRY[name]
-    except KeyError:
-        known = ", ".join(sorted(_REGISTRY))
-        raise RegistryError(
-            f"unknown multiplier {name!r}; known multipliers: {known}"
-        ) from None
-    return factory()
+    return _REGISTRY.lookup(name)()
 
 
 def available() -> list[str]:
     """Return the sorted names of all registered multipliers."""
-    return sorted(_REGISTRY)
+    return _REGISTRY.names()
 
 
 def iter_all() -> Iterator[Multiplier]:

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .. import xp
+import numpy as np
+
 from ..errors import QuantizationError
 
 
@@ -25,7 +26,7 @@ class TensorRange:
     max_value: float
 
     def __post_init__(self) -> None:
-        if not (xp.isfinite(self.min_value) and xp.isfinite(self.max_value)):
+        if not (np.isfinite(self.min_value) and np.isfinite(self.max_value)):
             raise QuantizationError("tensor range must be finite")
         if self.min_value > self.max_value:
             raise QuantizationError(
@@ -33,12 +34,12 @@ class TensorRange:
             )
 
     @classmethod
-    def of(cls, values: xp.ndarray) -> "TensorRange":
+    def of(cls, values: np.ndarray) -> "TensorRange":
         """Range of an array (the per-batch Min/Max of the transformed graph)."""
-        values = xp.asarray(values, dtype=xp.float64)
+        values = np.asarray(values, dtype=np.float64)
         if values.size == 0:
             raise QuantizationError("cannot take the range of an empty tensor")
-        if not xp.all(xp.isfinite(values)):
+        if not np.all(np.isfinite(values)):
             raise QuantizationError("tensor contains non-finite values")
         return cls(float(values.min()), float(values.max()))
 
@@ -94,7 +95,7 @@ class RangeTracker:
         """Number of batches folded into the current range."""
         return self._batches
 
-    def update(self, values: xp.ndarray) -> TensorRange:
+    def update(self, values: np.ndarray) -> TensorRange:
         """Fold one batch into the tracked range and return the new range."""
         batch_range = TensorRange.of(values)
         if self._range is None:

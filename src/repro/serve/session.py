@@ -26,8 +26,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .. import counters
 from ..backends.cache import DEFAULT_FILTER_CACHE, DEFAULT_LUT_CACHE
-from ..backends.pipeline import RunReport, _cache_delta
+from ..backends.pipeline import RunReport
 from ..datasets.cifar import normalize
 from ..errors import ServeError, TFApproxError
 from ..graph.executor import Executor
@@ -207,20 +208,13 @@ class ModelSession:
                 batch=int(inputs.shape[0]),
                 chunk_size=self.chunk_size,
                 wall_time_s=wall,
-                lut_cache=_cache_delta(
+                lut_cache=counters.difference(
                     DEFAULT_LUT_CACHE.stats_snapshot(), lut_before),
-                filter_cache=_cache_delta(
+                filter_cache=counters.difference(
                     DEFAULT_FILTER_CACHE.stats_snapshot(), filters_before),
             )
             for node, snapshot in zip(replica.ax_nodes, before):
-                delta = replace(node.stats)
-                delta.lut_lookups -= snapshot.lut_lookups
-                delta.quantized_values -= snapshot.quantized_values
-                delta.dequantized_values -= snapshot.dequantized_values
-                delta.patch_matrix_bytes -= snapshot.patch_matrix_bytes
-                delta.output_values -= snapshot.output_values
-                delta.chunks -= snapshot.chunks
-                delta.macs -= snapshot.macs
+                delta = counters.difference(node.stats, snapshot)
                 report.stats.merge(delta)
                 report.chunks += delta.chunks
                 if not report.lut_name:

@@ -10,6 +10,8 @@ automatically.
 
 from __future__ import annotations
 
+import importlib.util
+
 import numpy as np
 import pytest
 
@@ -29,7 +31,8 @@ from repro.backends import (
     unregister_backend,
 )
 from repro.conv import approx_conv2d, prepare_conv2d
-from repro.conv.gemm import available_gemm_kernels, lut_matmul
+from repro.conv import gemm
+from repro.conv.gemm import lut_matmul_blocked, lut_matmul_naive
 from repro.errors import ConfigurationError, RegistryError
 from repro.graph import Graph
 from repro.graph.ops.basic import Constant
@@ -101,43 +104,83 @@ class TestBackendParity:
         assert out.report.workers == 4
 
 
-#: Grid for the LUT-GEMM kernel-variant parity test: [P, K] x [K, F] shapes
+#: Every LUT-GEMM kernel this environment can run.  ``naive`` is the
+#: oracle; the numba kernel joins when numba is importable (the numba CI leg).
+KERNELS = {"naive": lut_matmul_naive, "blocked": lut_matmul_blocked}
+if importlib.util.find_spec("numba") is not None:  # pragma: no cover
+    from repro.conv.gemm_numba import lut_matmul_numba
+
+    KERNELS["numba"] = lut_matmul_numba
+
+#: Depth of the overflow-region input: every operand pair hits the table's
+#: largest product, so for an unsigned 8-bit table the exact sum
+#: ``K * max(L)`` exceeds 2**31.
+OVERFLOW_DEPTH = 40000
+
+#: Grid for the LUT-GEMM kernel parity test: [P, K] x [K, F] shapes
 #: spanning tall/square/wide products plus panel-boundary remainders.
 GEMM_SHAPES = [
     (7, 9, 5),       # remainders against every default block size
     (64, 48, 16),    # exact block multiples
     (130, 100, 33),  # spills one partial row panel and K panel
+    (3, OVERFLOW_DEPTH, 2),  # accumulator overflow region
 ]
 GEMM_MULTIPLIERS = ["mul8s_exact", "mul8s_mitchell", "mul8u_drum4"]
 
 
+def _gemm_operands(shape, lut):
+    p, k, f = shape
+    if k != OVERFLOW_DEPTH:
+        lo, hi = (-128, 128) if lut.signed else (0, 256)
+        rng = np.random.default_rng(p * 1000 + k)
+        return (rng.integers(lo, hi, size=(p, k)),
+                rng.integers(lo, hi, size=(k, f)))
+    # Operands at the table's largest product, from its flat index
+    # (a_bits << n) | w_bits, as signed values when the table is signed.
+    n = lut.bit_width
+    a, w = divmod(int(np.argmax(lut.flat)), 1 << n)
+    if lut.signed:
+        a, w = (v - (1 << n) if v >= 1 << (n - 1) else v for v in (a, w))
+    return np.full((p, k), a), np.full((k, f), w)
+
+
+def _wrapped(value: int, bits: int | None) -> int:
+    """Two's-complement wrap of a Python int into ``bits`` bits."""
+    if bits is None:
+        return value
+    half = 1 << (bits - 1)
+    return (value + half) % (1 << bits) - half
+
+
 class TestKernelVariantParity:
-    """Every registered LUT-GEMM kernel variant must agree bit for bit.
+    """Every LUT-GEMM kernel must agree bit for bit.
 
     The grid crosses shapes x multipliers (signed and unsigned) x
-    accumulator dtype; ``naive`` is the reference.  When numba is installed
-    its JIT kernel joins the sweep through ``available_gemm_kernels()``
-    automatically, so the numba CI leg proves numba-vs-numpy parity with no
-    extra test code.
+    accumulator width (a 32-bit wrapping accumulator, or the unbounded
+    int64 default); ``naive`` is the reference.  When numba is installed its
+    JIT kernel joins the sweep through ``KERNELS`` automatically, so the
+    numba CI leg proves numba-vs-numpy parity with no extra test code.
     """
 
     @pytest.mark.parametrize("shape", GEMM_SHAPES,
-                             ids=["remainder", "aligned", "spill"])
+                             ids=["remainder", "aligned", "spill", "overflow"])
     @pytest.mark.parametrize("multiplier", GEMM_MULTIPLIERS)
-    @pytest.mark.parametrize("compute_dtype", [np.int32, np.int64],
+    @pytest.mark.parametrize("accumulator_bits", [32, None],
                              ids=["acc32", "acc64"])
-    def test_all_kernels_bit_identical(self, shape, multiplier, compute_dtype):
-        p, k, f = shape
+    def test_all_kernels_bit_identical(self, shape, multiplier,
+                                       accumulator_bits):
         lut = LookupTable.from_multiplier(library.create(multiplier))
-        lo, hi = (-128, 128) if lut.signed else (0, 256)
-        rng = np.random.default_rng(p * 1000 + k)
-        patches = rng.integers(lo, hi, size=(p, k))
-        filters = rng.integers(lo, hi, size=(k, f))
-        reference = lut_matmul(patches, filters, lut, kernel="naive",
-                               compute_dtype=compute_dtype)
-        for name in available_gemm_kernels():
-            out = lut_matmul(patches, filters, lut, kernel=name,
-                             compute_dtype=compute_dtype)
+        patches, filters = _gemm_operands(shape, lut)
+        reference = lut_matmul_naive(patches, filters, lut,
+                                     accumulator_bits=accumulator_bits)
+        if shape[1] == OVERFLOW_DEPTH:
+            exact = OVERFLOW_DEPTH * int(lut.flat.max())
+            if not lut.signed:
+                assert exact > 2**31
+            assert np.all(reference == _wrapped(exact, accumulator_bits))
+        for name, kernel in KERNELS.items():
+            out = kernel(patches, filters, lut,
+                         accumulator_bits=accumulator_bits)
             assert out.dtype == np.int64
             assert np.array_equal(out, reference), (
                 f"kernel {name!r} diverged from naive for {multiplier} "
@@ -151,41 +194,25 @@ class TestKernelVariantParity:
         rng = np.random.default_rng(42)
         patches = rng.integers(-128, 128, size=(33, 29))
         filters = rng.integers(-128, 128, size=(29, 11))
-        reference = lut_matmul(patches, filters, lut, kernel="naive")
-        out = lut_matmul(patches, filters, lut, kernel="blocked",
-                         block_rows=block_rows, block_k=block_k)
+        reference = lut_matmul_naive(patches, filters, lut)
+        out = lut_matmul_blocked(patches, filters, lut,
+                                 block_rows=block_rows, block_k=block_k)
         assert np.array_equal(out, reference)
 
-    @pytest.mark.skipif("numba" not in available_gemm_kernels(),
-                        reason="numba not installed")
-    def test_numba_conv_backend_matches_numpy(self):
-        """The registered numba ConvBackend is end-to-end bit-identical."""
-        inputs, filters, strides, padding = _case(SHAPES[0])
-        reference = emulate_conv2d(inputs, filters, "mul8s_mitchell",
-                                   strides=strides, padding=padding)
-        jit = emulate_conv2d(inputs, filters, "mul8s_mitchell",
-                             backend="numba", strides=strides, padding=padding)
-        assert np.array_equal(jit, reference)
+    def test_lut_matmul_runs_numba_iff_importable(self):
+        expected = KERNELS.get("numba", lut_matmul_blocked)
+        assert gemm._kernel() is expected
 
-    def test_numba_backend_registered_iff_capability(self):
-        from repro import xp
-
-        assert ("numba" in available_backends()) == xp.capabilities()["numba"]
-
-    def test_pinned_kernel_backend_matches_default(self):
-        """A NumpyBackend pinned to any kernel variant keeps parity."""
+    def test_every_kernel_gives_the_same_conv_output(self, monkeypatch):
+        """The conv output does not depend on which kernel lut_matmul runs."""
         inputs, filters, strides, padding = _case(SHAPES[0])
         reference = emulate_conv2d(inputs, filters, "mul8s_exact",
                                    strides=strides, padding=padding)
-        for kernel in ("naive", "blocked"):
-            register_backend(f"numpy_{kernel}", NumpyBackend(kernel=kernel))
-            try:
-                out = emulate_conv2d(inputs, filters, "mul8s_exact",
-                                     backend=f"numpy_{kernel}",
-                                     strides=strides, padding=padding)
-            finally:
-                unregister_backend(f"numpy_{kernel}")
-            assert np.array_equal(out, reference), kernel
+        for name, kernel in KERNELS.items():
+            monkeypatch.setattr(gemm, "_kernel", lambda k=kernel: k)
+            out = emulate_conv2d(inputs, filters, "mul8s_exact",
+                                 strides=strides, padding=padding)
+            assert np.array_equal(out, reference), name
 
 
 class TestRegistry:

@@ -19,6 +19,7 @@ from repro.conv import (
     lut_matmul,
     split_chunks,
 )
+from repro.conv.gemm import lut_matmul_naive
 from repro.errors import ConfigurationError, ShapeError
 from repro.lut import LookupTable
 from repro.multipliers import library
@@ -49,16 +50,19 @@ class TestGemmPrimitives:
     def test_lut_matmul_tiling_independent(self, rng, mitchell_lut_signed):
         a = rng.integers(-128, 128, size=(33, 19))
         b = rng.integers(-128, 128, size=(19, 7))
-        full = lut_matmul(a, b, mitchell_lut_signed, tile_rows=1024)
-        tiny = lut_matmul(a, b, mitchell_lut_signed, tile_rows=5)
+        full = lut_matmul_naive(a, b, mitchell_lut_signed, tile_rows=1024)
+        tiny = lut_matmul_naive(a, b, mitchell_lut_signed, tile_rows=5)
         np.testing.assert_array_equal(full, tiny)
 
     def test_lut_matmul_validation(self, exact_lut_signed):
         with pytest.raises(ShapeError):
             lut_matmul(np.zeros((2, 3)), np.zeros((4, 2)), exact_lut_signed)
         with pytest.raises(ConfigurationError):
+            lut_matmul_naive(np.zeros((2, 3)), np.zeros((3, 2)),
+                             exact_lut_signed, tile_rows=0)
+        with pytest.raises(ConfigurationError):
             lut_matmul(np.zeros((2, 3)), np.zeros((3, 2)), exact_lut_signed,
-                       tile_rows=0)
+                       accumulator_bits=65)
 
     def test_accumulator_saturation(self, exact_lut_signed):
         a = np.full((1, 300), 127, dtype=np.int64)
@@ -75,6 +79,17 @@ class TestGemmPrimitives:
         wrapped = lut_matmul(a, b, exact_lut_signed, accumulator_bits=16)
         expected = ((10 * 127 * 127 + (1 << 15)) % (1 << 16)) - (1 << 15)
         assert wrapped[0, 0] == expected
+
+    @pytest.mark.parametrize("bits", [63, 64])
+    def test_widest_accumulators_wrap_without_overflow(self, rng, bits,
+                                                       exact_lut_signed):
+        """63- and 64-bit accumulators are valid widths, not crashes."""
+        a = rng.integers(-128, 128, size=(4, 9))
+        b = rng.integers(-128, 128, size=(9, 3))
+        for saturate in (False, True):
+            out = lut_matmul(a, b, exact_lut_signed,
+                             accumulator_bits=bits, saturate=saturate)
+            np.testing.assert_array_equal(out, a @ b)
 
     def test_dequantize_gemm_validation(self, rng):
         iq = compute_coeffs_from_tensor(rng.normal(size=4))

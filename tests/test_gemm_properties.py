@@ -31,7 +31,8 @@ from repro.conv.gemm import (
     dequantize_gemm,
     flat_index_dtype,
     gemm_float,
-    lut_matmul,
+    lut_matmul_blocked,
+    lut_matmul_naive,
 )
 from repro.errors import ConfigurationError
 from repro.lut import LookupTable
@@ -70,9 +71,9 @@ class TestBlockingInvariance:
     def test_block_size_never_changes_results(self, mitchell_lut, seed, p, k,
                                               f, block_rows, block_k):
         patches, filters = _int_case(seed, p, k, f)
-        reference = lut_matmul(patches, filters, mitchell_lut, kernel="naive")
-        blocked = lut_matmul(patches, filters, mitchell_lut, kernel="blocked",
-                             block_rows=block_rows, block_k=block_k)
+        reference = lut_matmul_naive(patches, filters, mitchell_lut)
+        blocked = lut_matmul_blocked(patches, filters, mitchell_lut,
+                                     block_rows=block_rows, block_k=block_k)
         np.testing.assert_array_equal(blocked, reference)
 
     @settings(max_examples=20, deadline=None)
@@ -83,10 +84,9 @@ class TestBlockingInvariance:
     def test_naive_tile_rows_never_changes_results(self, mitchell_lut, seed,
                                                    tile_rows):
         patches, filters = _int_case(seed, 23, 17, 5)
-        full = lut_matmul(patches, filters, mitchell_lut, kernel="naive",
-                          tile_rows=4096)
-        tiled = lut_matmul(patches, filters, mitchell_lut, kernel="naive",
-                           tile_rows=tile_rows)
+        full = lut_matmul_naive(patches, filters, mitchell_lut, tile_rows=4096)
+        tiled = lut_matmul_naive(patches, filters, mitchell_lut,
+                                 tile_rows=tile_rows)
         np.testing.assert_array_equal(tiled, full)
 
     @settings(max_examples=20, deadline=None)
@@ -100,12 +100,13 @@ class TestBlockingInvariance:
                                                       saturate):
         """Wrap/saturate semantics are applied identically by every kernel."""
         patches, filters = _int_case(seed, 9, 50, 4)
-        reference = lut_matmul(patches, filters, exact_lut, kernel="naive",
-                               accumulator_bits=accumulator_bits,
-                               saturate=saturate)
-        blocked = lut_matmul(patches, filters, exact_lut, kernel="blocked",
-                             accumulator_bits=accumulator_bits,
-                             saturate=saturate, block_rows=4, block_k=13)
+        reference = lut_matmul_naive(patches, filters, exact_lut,
+                                     accumulator_bits=accumulator_bits,
+                                     saturate=saturate)
+        blocked = lut_matmul_blocked(patches, filters, exact_lut,
+                                     accumulator_bits=accumulator_bits,
+                                     saturate=saturate, block_rows=4,
+                                     block_k=13)
         np.testing.assert_array_equal(blocked, reference)
 
 
@@ -143,7 +144,8 @@ class TestExactLutIsAGemm:
 
 
 class TestDegenerateShapes:
-    @pytest.mark.parametrize("kernel", ["naive", "blocked"])
+    @pytest.mark.parametrize("kernel", [lut_matmul_naive, lut_matmul_blocked],
+                             ids=["naive", "blocked"])
     @pytest.mark.parametrize("p,k,f", [
         (5, 0, 3),    # empty reduction: a well-defined all-zero product
         (0, 7, 3),    # no patches
@@ -156,7 +158,7 @@ class TestDegenerateShapes:
         rng = np.random.default_rng(k)
         patches = rng.integers(-128, 128, size=(p, k))
         filters = rng.integers(-128, 128, size=(k, f))
-        out = lut_matmul(patches, filters, exact_lut, kernel=kernel)
+        out = kernel(patches, filters, exact_lut)
         assert out.shape == (p, f)
         assert out.dtype == np.int64
         np.testing.assert_array_equal(out, patches @ filters)
@@ -207,8 +209,8 @@ class TestFlatIndexDtype:
         filters = rng.integers(0, n, size=(7, 4))
         filters[:, 0] = n - 1
 
-        naive = lut_matmul(patches, filters, lut, kernel="naive")
-        blocked = lut_matmul(patches, filters, lut, kernel="blocked",
-                             block_rows=4, block_k=3)
+        naive = lut_matmul_naive(patches, filters, lut)
+        blocked = lut_matmul_blocked(patches, filters, lut,
+                                     block_rows=4, block_k=3)
         np.testing.assert_array_equal(blocked, naive)
         np.testing.assert_array_equal(blocked, patches @ filters)

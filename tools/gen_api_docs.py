@@ -26,7 +26,6 @@ from pathlib import Path
 #: Subpackages (or plain modules) documented in the reference, in reading
 #: order.
 PACKAGES = [
-    "repro.xp",
     "repro.backends",
     "repro.serve",
     "repro.train",
