@@ -1,20 +1,20 @@
 """Unified execution backends behind one batched inference API.
 
 This package is the dispatch seam between the functional emulation code and
-the engines that execute it.  All four execution paths of the library (the
-vectorised NumPy engine, the direct CPU loop, the simulated CUDA device and
-the ``AxConv2D`` graph op) resolve their quantisation coefficients and
-lookup tables through the same code path and run through the
-:class:`ConvBackend` contract, so adding an accelerator model means
-implementing one chunk-level method and calling :func:`register_backend`.
+the engines that execute it.  The three chunk engines (the vectorised NumPy
+engine, the direct CPU loop and the simulated CUDA device) sit in one fixed
+name table (:mod:`repro.backends.engines`); every entry point, the
+``AxConv2D`` graph op included, resolves its quantisation coefficients and
+lookup tables through the same cached path before handing chunks to one of
+them.
 
 Entry points:
 
 * :func:`emulate_conv2d` -- one-call approximate convolution on any backend;
 * :class:`InferencePipeline` -- reusable pipeline with LUT/filter-bank
   caching and thread-pool batch sharding;
-* :func:`register_backend` / :func:`get_backend` /
-  :func:`available_backends` -- the registry.
+* :func:`available_backends` -- the engine names (``cpusim``, ``gpusim``,
+  ``numpy``).
 """
 
 from .cache import (
@@ -27,6 +27,7 @@ from .cache import (
     cache_stats,
     clear_caches,
 )
+from .engines import available_backends
 from .pipeline import (
     InferencePipeline,
     RunReport,
@@ -34,30 +35,14 @@ from .pipeline import (
     emulate_conv2d,
     shared_pipeline,
 )
-from .registry import (
-    ChunkResult,
-    ConvBackend,
-    CpusimBackend,
-    GpusimBackend,
-    NumpyBackend,
-    available_backends,
-    get_backend,
-    register_backend,
-    unregister_backend,
-)
 
 __all__ = [
     "CacheStats",
-    "ChunkResult",
-    "ConvBackend",
-    "CpusimBackend",
     "DEFAULT_FILTER_CACHE",
     "DEFAULT_LUT_CACHE",
     "FilterBankCache",
-    "GpusimBackend",
     "InferencePipeline",
     "LUTCache",
-    "NumpyBackend",
     "PreparedFilterBank",
     "RunReport",
     "RunResult",
@@ -65,8 +50,5 @@ __all__ = [
     "cache_stats",
     "clear_caches",
     "emulate_conv2d",
-    "get_backend",
-    "register_backend",
     "shared_pipeline",
-    "unregister_backend",
 ]

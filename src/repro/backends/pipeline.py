@@ -37,6 +37,7 @@ from ..conv.approx_conv2d import (
     DEFAULT_CHUNK_SIZE,
     ApproxConvStats,
     PreparedConv,
+    chunk_stats,
     quantize_filter_bank,
     split_chunks,
     validate_conv_operands,
@@ -57,7 +58,7 @@ from .cache import (
     LUTCache,
     PreparedFilterBank,
 )
-from .registry import ChunkResult, get_backend
+from .engines import check_engine
 
 
 @dataclass
@@ -118,7 +119,6 @@ class RunReport:
         part.lut_cache = counters.scaled(self.lut_cache, fraction)
         part.filter_cache = counters.scaled(self.filter_cache, fraction)
         part.stats = counters.scaled(self.stats, fraction)
-        part.stats.extra = {}
         if self.gpu is not None:
             part.gpu = counters.scaled(self.gpu, fraction)
             part.gpu.per_chunk = []
@@ -154,14 +154,13 @@ class RunResult:
 
 
 class InferencePipeline:
-    """High-throughput entry point over the backend registry.
+    """High-throughput entry point over the three chunk engines.
 
     Parameters
     ----------
     backend:
-        Registry name of the execution engine (``numpy``, ``cpusim``,
-        ``gpusim`` or anything added via
-        :func:`repro.backends.register_backend`).
+        Name of the execution engine: ``numpy``, ``cpusim`` or ``gpusim``
+        (see :mod:`repro.backends.engines`).
     multiplier:
         Default multiplier for :meth:`run` calls that do not pass their own:
         a library name, a behavioural model or a pre-built lookup table.
@@ -172,8 +171,9 @@ class InferencePipeline:
         shards inline; larger values overlap shards, which pays off for the
         NumPy backend whose heavy ops release the GIL.
     round_mode, accumulator_bits, saturate:
-        Forwarded to the backend; see
-        :func:`repro.conv.approx_conv2d.approx_conv2d`.
+        Forwarded to the engine; see
+        :func:`repro.conv.approx_conv2d.approx_conv2d`.  Only ``numpy``
+        models a finite accumulator; the others reject one here.
     lut_cache, filter_cache:
         Cache instances to use; default to the process-wide shared caches.
 
@@ -198,7 +198,8 @@ class InferencePipeline:
         if max_workers <= 0:
             raise ConfigurationError("max_workers must be positive")
         # Resolve eagerly so configuration errors surface at build time.
-        self.backend = get_backend(backend)
+        check_engine(backend, accumulator_bits=accumulator_bits,
+                     saturate=saturate)
         self.backend_name = backend
         self.multiplier = multiplier
         self.chunk_size = chunk_size
@@ -276,10 +277,15 @@ class InferencePipeline:
         )
 
         shards = split_chunks(inputs.shape[0], self.chunk_size)
+        # Looked up per run, so a configuration mutated since construction
+        # is checked again before any chunk runs.
+        engine = check_engine(
+            self.backend_name, accumulator_bits=self.accumulator_bits,
+            saturate=self.saturate)
 
-        def run_shard(bounds: tuple[int, int]) -> ChunkResult:
+        def run_shard(bounds: tuple[int, int]):
             start, stop = bounds
-            return self.backend.run_chunk(
+            return engine(
                 inputs[start:stop], prepared,
                 strides=strides, dilations=dilations, padding=padding,
                 accumulator_bits=self.accumulator_bits,
@@ -308,14 +314,15 @@ class InferencePipeline:
             filter_cache=counters.difference(
                 self.filter_cache.stats_snapshot(), filters_before),
         )
-        for result in results:
-            report.stats.merge(result.stats)
-            if result.gpu is not None:
+        for (start, stop), (chunk_out, gpu) in zip(shards, results):
+            report.stats.merge(
+                chunk_stats(inputs[start:stop], prepared, chunk_out))
+            if gpu is not None:
                 if report.gpu is None:
                     report.gpu = GPUConvRunReport()
-                report.gpu.merge(result.gpu)
+                report.gpu.merge(gpu)
 
-        output = np.concatenate([result.output for result in results], axis=0)
+        output = np.concatenate([chunk_out for chunk_out, _ in results], axis=0)
         report.wall_time_s = time.perf_counter() - start_time
         return RunResult(output=output, report=report)
 
@@ -339,7 +346,7 @@ def emulate_conv2d(inputs: np.ndarray, filters: np.ndarray,
                    accumulator_bits: int | None = None,
                    saturate: bool = False,
                    report: RunReport | None = None) -> np.ndarray:
-    """Emulate one approximate convolution through the backend registry.
+    """Emulate one approximate convolution on one of the three engines.
 
     The single-call public API of the library: pick a multiplier (by library
     name, behavioural model or pre-built LUT) and a backend, get the NHWC
@@ -396,13 +403,8 @@ def shared_pipeline(backend: str = "numpy", *,
         RoundMode.from_any(round_mode), accumulator_bits, bool(saturate),
     )
     with _SHARED_PIPELINES_LOCK:
-        # Re-resolve through the registry on every call: it raises for
-        # names that were unregistered meanwhile, and a cached pipeline
-        # holding a superseded backend instance (register_backend with
-        # overwrite=True) is rebuilt rather than served stale.
-        current = get_backend(backend)
         pipeline = _SHARED_PIPELINES.get(key)
-        if pipeline is None or pipeline.backend is not current:
+        if pipeline is None:
             pipeline = InferencePipeline(
                 backend,
                 chunk_size=chunk_size, max_workers=max_workers,

@@ -20,23 +20,19 @@ and memory traffic each phase would cost on the modelled hardware.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .. import counters
-from ..errors import ConfigurationError, ShapeError
+from ..errors import ConfigurationError
 from ..lut.table import LookupTable
-from ..quantization.affine import (
-    IntegerRange,
-    QuantParams,
-    SIGNED_8BIT,
-    compute_coeffs,
-)
+from ..quantization.affine import IntegerRange, QuantParams, compute_coeffs
 from ..quantization.ranges import TensorRange
 from ..quantization.rounding import RoundMode
 from .im2col import filter_sums, flatten_filters, im2col_quantized
 from .gemm import approx_gemm
+from .reference import check_conv_shapes
 
 
 #: Default number of images processed per chunk; mirrors the constant chunk
@@ -60,11 +56,9 @@ class ApproxConvStats:
     output_values: int = 0
     chunks: int = 0
     macs: int = 0
-    extra: dict = field(default_factory=dict)
 
     def merge(self, other: "ApproxConvStats") -> None:
-        """Accumulate another stats object's counts into this one
-        (``extra`` is not merged)."""
+        """Accumulate another stats object's counts into this one."""
         counters.add(self, other)
 
 
@@ -144,15 +138,7 @@ class PreparedConv:
 def validate_conv_operands(inputs: np.ndarray, filters: np.ndarray,
                            lut: LookupTable, qrange: IntegerRange) -> None:
     """Shape/signedness validation shared by every convolution entry point."""
-    if inputs.ndim != 4:
-        raise ShapeError(f"inputs must be NHWC (4D), got shape {inputs.shape}")
-    if filters.ndim != 4:
-        raise ShapeError(f"filters must be HWCK (4D), got shape {filters.shape}")
-    if inputs.shape[3] != filters.shape[2]:
-        raise ShapeError(
-            f"channel mismatch: inputs have {inputs.shape[3]} channels, "
-            f"filters expect {filters.shape[2]}"
-        )
+    check_conv_shapes(inputs, filters)
     if qrange.signed != lut.signed:
         raise ConfigurationError(
             f"quantised range signedness ({qrange.signed}) does not match the "
@@ -178,27 +164,22 @@ def prepare_conv2d(inputs: np.ndarray, filters: np.ndarray, lut: LookupTable, *,
                    filter_range: TensorRange | tuple[float, float] | None = None,
                    qrange: IntegerRange | None = None,
                    round_mode: RoundMode | str = RoundMode.HALF_AWAY_FROM_ZERO,
-                   input_params: QuantParams | None = None,
-                   filter_params: QuantParams | None = None) -> PreparedConv:
+                   ) -> PreparedConv:
     """Resolve the quantisation coefficients and quantise the filter bank.
 
     This is the shared front half of Algorithm 1 (``ComputeCoeffs`` plus the
     filter-side quantisation and ``Sf``); the backends only implement the
     per-chunk back half.  When ``qrange`` is omitted it is derived from the
     lookup table's bit width and signedness, which is the only combination
-    the table can serve anyway.  Explicit ``input_params``/``filter_params``
-    bypass range resolution entirely (used by the low-level CPU reference
-    entry point, which receives pre-computed coefficients).
+    the table can serve anyway.
     """
     if qrange is None:
         qrange = IntegerRange.for_bits(lut.bit_width, signed=lut.signed)
     validate_conv_operands(inputs, filters, lut, qrange)
     kh, kw, channels, count = filters.shape
 
-    input_q = input_params if input_params is not None else resolve_quant_params(
-        inputs, input_range, qrange, round_mode)
-    filter_q = filter_params if filter_params is not None else resolve_quant_params(
-        filters, filter_range, qrange, round_mode)
+    input_q = resolve_quant_params(inputs, input_range, qrange, round_mode)
+    filter_q = resolve_quant_params(filters, filter_range, qrange, round_mode)
 
     flat_filters, sf = quantize_filter_bank(filters, filter_q)
     return PreparedConv(
@@ -213,8 +194,7 @@ def approx_conv2d_chunk(chunk: np.ndarray, prepared: PreparedConv, *,
                         strides=(1, 1), dilations=(1, 1),
                         padding: str = "SAME",
                         accumulator_bits: int | None = None,
-                        saturate: bool = False,
-                        stats: ApproxConvStats | None = None) -> np.ndarray:
+                        saturate: bool = False) -> np.ndarray:
     """Run Im2Cols + ApproxGEMM on one chunk of a prepared convolution.
 
     This is the body of Algorithm 1's chunk loop as executed by the
@@ -231,17 +211,30 @@ def approx_conv2d_chunk(chunk: np.ndarray, prepared: PreparedConv, *,
         prepared.input_q, prepared.filter_q, prepared.lut,
         accumulator_bits=accumulator_bits, saturate=saturate,
     )
-    count = prepared.filter_count
-    if stats is not None:
-        stats.chunks += 1
-        stats.quantized_values += int(chunk.size)
-        stats.lut_lookups += int(patches.shape[0]) * int(patches.shape[1]) * count
-        stats.macs += int(patches.shape[0]) * int(patches.shape[1]) * count
-        stats.patch_matrix_bytes += int(patches.size)  # one byte per value
-        stats.dequantized_values += int(chunk_out.size)
-        stats.output_values += int(chunk_out.size)
     return chunk_out.reshape(
-        chunk.shape[0], geometry.output_height, geometry.output_width, count,
+        chunk.shape[0], geometry.output_height, geometry.output_width,
+        prepared.filter_count,
+    )
+
+
+def chunk_stats(chunk: np.ndarray, prepared: PreparedConv,
+                output: np.ndarray) -> ApproxConvStats:
+    """Operation counts of one chunk, derived from its geometry.
+
+    The counts depend only on shapes, never on which engine ran the chunk or
+    how it was scheduled, so :func:`approx_conv2d` and every engine of
+    :mod:`repro.backends` report the same work through this one function.
+    """
+    positions = int(output.shape[0] * output.shape[1] * output.shape[2])
+    lookups = positions * prepared.depth * prepared.filter_count
+    return ApproxConvStats(
+        lut_lookups=lookups,
+        quantized_values=int(chunk.size),
+        dequantized_values=int(output.size),
+        patch_matrix_bytes=positions * prepared.depth,  # one byte per value
+        output_values=int(output.size),
+        chunks=1,
+        macs=lookups,
     )
 
 
@@ -249,7 +242,7 @@ def approx_conv2d(inputs: np.ndarray, filters: np.ndarray, lut: LookupTable, *,
                   strides=(1, 1), dilations=(1, 1), padding: str = "SAME",
                   input_range: TensorRange | tuple[float, float] | None = None,
                   filter_range: TensorRange | tuple[float, float] | None = None,
-                  qrange: IntegerRange = SIGNED_8BIT,
+                  qrange: IntegerRange | None = None,
                   round_mode: RoundMode | str = RoundMode.HALF_AWAY_FROM_ZERO,
                   chunk_size: int = DEFAULT_CHUNK_SIZE,
                   accumulator_bits: int | None = None,
@@ -274,7 +267,7 @@ def approx_conv2d(inputs: np.ndarray, filters: np.ndarray, lut: LookupTable, *,
         the data, as the transformed graph's Min/Max nodes would do.
     qrange:
         Quantised integer range ([-128, 127] for signed multipliers,
-        [0, 255] for unsigned ones).
+        [0, 255] for unsigned ones); derived from the table when omitted.
     round_mode:
         Rounding applied during quantisation.
     chunk_size:
@@ -297,32 +290,21 @@ def approx_conv2d(inputs: np.ndarray, filters: np.ndarray, lut: LookupTable, *,
         qrange=qrange, round_mode=round_mode,
     )
 
-    local_stats = stats if stats is not None else ApproxConvStats()
-    local_stats.quantized_values += int(filters.size)
+    if stats is not None:
+        stats.quantized_values += int(filters.size)
 
     # --- Chunked Im2Cols + ApproxGEMM ----------------------------------
     outputs = []
     for start, stop in split_chunks(inputs.shape[0], chunk_size):
-        outputs.append(approx_conv2d_chunk(
-            inputs[start:stop], prepared,
+        chunk = inputs[start:stop]
+        output = approx_conv2d_chunk(
+            chunk, prepared,
             strides=strides, dilations=dilations, padding=padding,
             accumulator_bits=accumulator_bits, saturate=saturate,
-            stats=local_stats,
-        ))
+        )
+        if stats is not None:
+            stats.merge(chunk_stats(chunk, prepared, output))
+        outputs.append(output)
 
     return np.concatenate(outputs, axis=0)
 
-
-def accurate_conv2d_reference(inputs: np.ndarray, filters: np.ndarray, *,
-                              strides=(1, 1), dilations=(1, 1),
-                              padding: str = "SAME") -> np.ndarray:
-    """Convenience alias for the accurate float convolution.
-
-    Provided so user code can switch between the accurate and approximate
-    engines by swapping a single callable.
-    """
-    from .reference import conv2d_float
-
-    return conv2d_float(
-        inputs, filters, strides=strides, dilations=dilations, padding=padding,
-    )

@@ -32,7 +32,9 @@ from .gemm import dequantize_gemm, gemm_float
 from .padding import resolve_geometry
 
 
-def _check_conv_args(inputs: np.ndarray, filters: np.ndarray) -> None:
+def check_conv_shapes(inputs: np.ndarray, filters: np.ndarray) -> None:
+    """Check NHWC inputs against an HWCK filter bank (the one shape check
+    every convolution entry point runs)."""
     if inputs.ndim != 4:
         raise ShapeError(f"inputs must be NHWC (4D), got shape {inputs.shape}")
     if filters.ndim != 4:
@@ -48,7 +50,7 @@ def conv2d_float(inputs: np.ndarray, filters: np.ndarray, *,
                  strides=(1, 1), dilations=(1, 1),
                  padding: str = "SAME") -> np.ndarray:
     """Accurate float 2D convolution (im2col + GEMM), NHWC in, NHWC out."""
-    _check_conv_args(inputs, filters)
+    check_conv_shapes(inputs, filters)
     batch = inputs.shape[0]
     kh, kw, _, count = filters.shape
     patches, geometry = im2col(
@@ -72,7 +74,7 @@ def conv2d_float_backward(grad_output: np.ndarray, inputs: np.ndarray,
     straight-through-estimator convention (approximate forward, exact
     backward through the dequantised values).
     """
-    _check_conv_args(inputs, filters)
+    check_conv_shapes(inputs, filters)
     kh, kw, _, count = filters.shape
     geometry = resolve_geometry(
         inputs.shape[1], inputs.shape[2], kh, kw,
@@ -106,7 +108,7 @@ def conv2d_direct(inputs: np.ndarray, filters: np.ndarray, *,
     Quadratically slower than :func:`conv2d_float`; intended for validation
     on small tensors only.
     """
-    _check_conv_args(inputs, filters)
+    check_conv_shapes(inputs, filters)
     batch, in_h, in_w, channels = inputs.shape
     kh, kw, _, count = filters.shape
     geometry = resolve_geometry(
@@ -153,7 +155,6 @@ def approx_conv2d_direct(inputs: np.ndarray, filters: np.ndarray,
     :func:`repro.conv.approx_conv2d.approx_conv2d`; the integration tests rely
     on that property.
     """
-    _check_conv_args(inputs, filters)
     return approx_conv2d_direct_quantized(
         inputs, filter_q.quantize(filters).astype(np.int64), lut,
         input_q, filter_q,
@@ -169,17 +170,12 @@ def approx_conv2d_direct_quantized(inputs: np.ndarray, q_filters: np.ndarray,
     """Direct-loop engine operating on an already-quantised HWCK filter bank.
 
     This is the loop body of :func:`approx_conv2d_direct` with the filter
-    quantisation factored out, so the ``cpusim`` backend can reuse the filter
+    quantisation factored out, so the ``cpusim`` engine can reuse the filter
     bank prepared (and cached) by the shared
     :func:`repro.conv.approx_conv2d.prepare_conv2d` path instead of
     re-quantising per call.
     """
-    if inputs.ndim != 4:
-        raise ShapeError(f"inputs must be NHWC (4D), got shape {inputs.shape}")
-    if q_filters.ndim != 4:
-        raise ShapeError(
-            f"filters must be HWCK (4D), got shape {q_filters.shape}"
-        )
+    check_conv_shapes(inputs, q_filters)
     batch, in_h, in_w, channels = inputs.shape
     kh, kw, _, count = q_filters.shape
     geometry = resolve_geometry(
@@ -243,7 +239,7 @@ def fake_quant_conv2d(inputs: np.ndarray, filters: np.ndarray,
     multiplier LUT the approximate engines must reproduce it bit for bit
     (up to float summation order).
     """
-    _check_conv_args(inputs, filters)
+    check_conv_shapes(inputs, filters)
     batch = inputs.shape[0]
     kh, kw, _, count = filters.shape
 

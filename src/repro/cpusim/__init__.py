@@ -1,5 +1,5 @@
 """CPU emulation baseline (ALWANN-style direct loop) and its timing model."""
 
-from .direct import CPUTimingModel, run_direct_reference
+from .direct import CPUTimingModel
 
-__all__ = ["CPUTimingModel", "run_direct_reference"]
+__all__ = ["CPUTimingModel"]

@@ -2,26 +2,19 @@
 
 The paper compares its GPU emulator against the CPU implementation of [12]
 (ALWANN), which evaluates the approximate convolution with a system of nested
-loops and one LUT access per multiplication.  Two things are provided here:
-
-* :class:`CPUTimingModel` -- the analytical model producing the CPU columns
-  of Table I and the CPU half of Fig. 2 (calibrated against a Xeon
-  E5-2620-class machine);
-* :func:`run_direct_reference` -- a thin wrapper over the functional direct
-  engine (:func:`repro.conv.reference.approx_conv2d_direct`) so small-scale
-  functional cross-checks go through the same entry point the timing model
-  describes.
+loops and one LUT access per multiplication.  :class:`CPUTimingModel` is the
+analytical model of that loop producing the CPU columns of Table I and the
+CPU half of Fig. 2 (calibrated against a Xeon E5-2620-class machine).  The
+loop itself is :func:`repro.conv.reference.approx_conv2d_direct`; the
+``cpusim`` engine of :mod:`repro.backends` runs its body on cached,
+pre-quantised filters.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..errors import ConfigurationError
 from ..gpusim.timing import PhaseTimes
 from ..hwspec import CPUSpec, XEON_E5_2620
-from ..lut.table import LookupTable
-from ..quantization.affine import QuantParams
 from ..workload import ConvWorkload, total_workload
 
 
@@ -99,32 +92,3 @@ class CPUTimingModel:
             remaining=remaining,
         )
 
-
-def run_direct_reference(inputs: np.ndarray, filters: np.ndarray,
-                         lut: LookupTable, input_q: QuantParams,
-                         filter_q: QuantParams, *, strides=(1, 1),
-                         dilations=(1, 1), padding: str = "SAME") -> np.ndarray:
-    """Run the functional direct-loop engine (small tensors only).
-
-    This is the algorithm whose performance the :class:`CPUTimingModel`
-    describes.  Since the backend-registry refactor it routes through the
-    registered ``cpusim`` backend, so the filter bank is quantised by the
-    same shared :func:`repro.conv.approx_conv2d.prepare_conv2d` path every
-    other engine uses (the explicit ``input_q``/``filter_q`` coefficients
-    are forwarded unchanged).
-    """
-    # Imported here: repro.backends builds on the conv/gpusim layers, so the
-    # low-level cpusim module must not import it at module scope.
-    from ..backends.registry import get_backend
-    from ..conv.approx_conv2d import prepare_conv2d
-
-    prepared = prepare_conv2d(
-        inputs, filters, lut,
-        qrange=input_q.qrange, round_mode=input_q.round_mode,
-        input_params=input_q, filter_params=filter_q,
-    )
-    result = get_backend("cpusim").run_chunk(
-        inputs, prepared,
-        strides=strides, dilations=dilations, padding=padding,
-    )
-    return result.output

@@ -253,7 +253,7 @@ def search(model_builder, dataset, *,
         Multiplier catalogue (library names); defaults to the whole library,
         optionally filtered by bit width and signedness.
     strategy, strategy_params:
-        Registry name (``random``, ``greedy``, ``nsga2``) or a
+        Strategy name (``random``, ``greedy``, ``nsga2``) or a
         :class:`~repro.dse.strategies.SearchStrategy` instance, plus factory
         keyword arguments for the named form.
     budget:

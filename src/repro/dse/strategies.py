@@ -1,4 +1,4 @@
-"""Pluggable search strategies: random, greedy hill-climbing, NSGA-II.
+"""The three search strategies: random, greedy hill-climbing, NSGA-II.
 
 Every strategy drives the same loop -- propose candidates, hand them to the
 engine's evaluation broker, read the scored results -- and differs only in
@@ -21,20 +21,18 @@ The three built-ins cover the span the DSE literature uses as baselines:
     selection, binary tournaments, uniform crossover and point mutation --
     the multi-objective workhorse of the approximate-computing DSE papers.
 
-Register additional strategies with :func:`register_strategy`; the registry
-is a :class:`repro.registry.Registry`, like the multiplier library and the
-backend registry.
+The set is fixed: :func:`create_strategy` looks a name up in one table, and
+a custom :class:`SearchStrategy` instance runs by passing it to
+:func:`repro.dse.search` directly.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Callable
 
 import numpy as np
 
 from ..errors import DSEError
-from ..registry import Registry
 from .evaluator import CandidateResult
 from .pareto import crowding_distance, non_dominated_sort
 from .space import SearchSpace
@@ -50,7 +48,7 @@ class SearchStrategy(abc.ABC):
     done or the budget is exhausted.
     """
 
-    #: Registry name; set by subclasses.
+    #: Table name; set by subclasses.
     name: str = "?"
 
     @abc.abstractmethod
@@ -214,31 +212,25 @@ def _unique_results(results: list[CandidateResult]) -> list[CandidateResult]:
     return unique
 
 
-StrategyFactory = Callable[..., SearchStrategy]
-
-_STRATEGIES: Registry[StrategyFactory] = Registry(
-    "strategy", DSEError, "registered strategies")
-
-
-def register_strategy(name: str, factory: StrategyFactory, *,
-                      overwrite: bool = False) -> None:
-    """Register a strategy factory under ``name``.
-
-    Raises :class:`~repro.errors.DSEError` when the name is taken, unless
-    ``overwrite`` is requested.
-    """
-    _STRATEGIES.register(name, factory, overwrite=overwrite)
+#: The fixed name -> class table behind :func:`create_strategy`.  A custom
+#: strategy needs no entry: pass an instance to :func:`repro.dse.search`.
+_STRATEGIES: dict[str, type[SearchStrategy]] = {
+    cls.name: cls for cls in (RandomStrategy, GreedyStrategy, NSGA2Strategy)
+}
 
 
 def create_strategy(name: str, **params) -> SearchStrategy:
-    """Instantiate the registered strategy called ``name``."""
-    return _STRATEGIES.lookup(name)(**params)
+    """Instantiate the built-in strategy called ``name``."""
+    try:
+        factory = _STRATEGIES[name]
+    except KeyError:
+        raise DSEError(
+            f"unknown strategy {name!r}; registered strategies: "
+            f"{', '.join(available_strategies())}"
+        ) from None
+    return factory(**params)
 
 
 def available_strategies() -> list[str]:
-    """Sorted names of every registered strategy."""
-    return _STRATEGIES.names()
-
-
-for _factory in (RandomStrategy, GreedyStrategy, NSGA2Strategy):
-    register_strategy(_factory.name, _factory, overwrite=True)
+    """Sorted names of every built-in strategy."""
+    return sorted(_STRATEGIES)

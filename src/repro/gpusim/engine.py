@@ -19,7 +19,7 @@ from .. import counters
 from ..conv.approx_conv2d import PreparedConv, prepare_conv2d, split_chunks
 from ..errors import ConfigurationError
 from ..lut.table import LookupTable
-from ..quantization.affine import IntegerRange, SIGNED_8BIT
+from ..quantization.affine import IntegerRange
 from ..quantization.ranges import TensorRange
 from ..quantization.rounding import RoundMode
 from .device import GPUDevice
@@ -57,7 +57,7 @@ def run_gpusim_chunk(device: GPUDevice, chunk: np.ndarray,
     Launches the Im2Cols and ApproxGEMM kernels for a single chunk of a
     prepared convolution and returns the NHWC output together with a
     one-chunk :class:`GPUConvRunReport`.  Both the
-    :class:`GPUConvolutionEngine` and the ``gpusim`` backend of
+    :class:`GPUConvolutionEngine` and the ``gpusim`` engine of
     :mod:`repro.backends` are thin loops over this function.
     """
     im2cols = run_im2cols_kernel(
@@ -108,10 +108,14 @@ class GPUConvolutionEngine:
                       padding: str = "SAME",
                       input_range: TensorRange | tuple[float, float] | None = None,
                       filter_range: TensorRange | tuple[float, float] | None = None,
-                      qrange: IntegerRange = SIGNED_8BIT,
+                      qrange: IntegerRange | None = None,
                       round_mode: RoundMode | str = RoundMode.HALF_AWAY_FROM_ZERO,
                       report: GPUConvRunReport | None = None) -> np.ndarray:
-        """Algorithm 1 on the simulated device; returns the NHWC float output."""
+        """Algorithm 1 on the simulated device; returns the NHWC float output.
+
+        ``qrange`` defaults to the range the lookup table serves, as in
+        :func:`repro.conv.approx_conv2d.prepare_conv2d`.
+        """
         # ComputeCoeffs + filter quantisation through the shared path.
         prepared = prepare_conv2d(
             inputs, filters, lut,

@@ -97,8 +97,6 @@ class AxConv2D(Node):
                  round_mode: RoundMode | str = RoundMode.HALF_AWAY_FROM_ZERO,
                  chunk_size: int = DEFAULT_CHUNK_SIZE,
                  accumulator_bits: int | None = None,
-                 backend: str = "numpy",
-                 max_workers: int = 1,
                  name: str | None = None) -> None:
         if not isinstance(lut, LookupTable):
             raise ConfigurationError("AxConv2D requires a LookupTable instance")
@@ -110,17 +108,16 @@ class AxConv2D(Node):
         self.dilations = dilations
         self.padding = padding
         self.qrange = qrange
-        #: Every execution routes through the backend registry; the pipeline
+        #: Every execution routes through a ``numpy`` pipeline; the pipeline
         #: caches this layer's quantised filter bank across runs, so repeated
         #: inference only pays the filter-side setup once.  The pipeline is
         #: the single owner of the tunable execution parameters -- ``lut``,
         #: ``chunk_size``, ``round_mode`` and ``accumulator_bits`` below are
         #: properties over it, so mutating them on the node keeps working.
         self.pipeline = InferencePipeline(
-            backend,
+            "numpy",
             multiplier=lut,
             chunk_size=chunk_size,
-            max_workers=max_workers,
             round_mode=round_mode,
             accumulator_bits=accumulator_bits,
         )

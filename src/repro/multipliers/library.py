@@ -7,17 +7,17 @@ multiplier configuration has a stable string name, the registry can build an
 instance from that name, and user code can register additional designs
 (including ones loaded from truth-table files).
 
-The registry is a :class:`repro.registry.Registry` of factory functions, the
-same type the backend and DSE-strategy registries use; examples and
+The registry maps names to factory functions behind one lock; examples and
 benchmarks iterate over the whole catalogue through :func:`available`.
+:func:`register_table` is how users add their own truth tables.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Callable, Iterator
 
 from ..errors import RegistryError
-from ..registry import Registry
 from .base import ExactMultiplier, Multiplier, TableMultiplier
 from .broken_array import BrokenArrayMultiplier
 from .drum import DRUMMultiplier
@@ -29,8 +29,8 @@ from .truncated import TruncatedOperandMultiplier, TruncatedProductMultiplier
 
 MultiplierFactory = Callable[[], Multiplier]
 
-_REGISTRY: Registry[MultiplierFactory] = Registry(
-    "multiplier", RegistryError, "known multipliers")
+_FACTORIES: dict[str, MultiplierFactory] = {}
+_LOCK = threading.Lock()
 
 
 def register(name: str, factory: MultiplierFactory, *,
@@ -40,7 +40,10 @@ def register(name: str, factory: MultiplierFactory, *,
     Raises :class:`~repro.errors.RegistryError` when the name is already in
     use, unless ``overwrite`` is requested.
     """
-    _REGISTRY.register(name, factory, overwrite=overwrite)
+    with _LOCK:
+        if not overwrite and name in _FACTORIES:
+            raise RegistryError(f"multiplier {name!r} is already registered")
+        _FACTORIES[name] = factory
 
 
 def register_table(name: str, table, *, bit_width: int = 8,
@@ -55,12 +58,20 @@ def register_table(name: str, table, *, bit_width: int = 8,
 
 def create(name: str) -> Multiplier:
     """Instantiate the registered multiplier called ``name``."""
-    return _REGISTRY.lookup(name)()
+    try:
+        factory = _FACTORIES[name]
+    except KeyError:
+        raise RegistryError(
+            f"unknown multiplier {name!r}; known multipliers: "
+            f"{', '.join(available())}"
+        ) from None
+    return factory()
 
 
 def available() -> list[str]:
     """Return the sorted names of all registered multipliers."""
-    return _REGISTRY.names()
+    with _LOCK:
+        return sorted(_FACTORIES)
 
 
 def iter_all() -> Iterator[Multiplier]:

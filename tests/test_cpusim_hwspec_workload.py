@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.conv import approx_conv2d
-from repro.cpusim import CPUTimingModel, run_direct_reference
+from repro.conv import approx_conv2d, approx_conv2d_direct
+from repro.cpusim import CPUTimingModel
 from repro.errors import ConfigurationError, ShapeError
 from repro.hwspec import CPUSpec, GPUSpec, PAPER_SYSTEM, SystemSpec
 from repro.multipliers import library
@@ -118,7 +118,7 @@ class TestCPUTimingModel:
         lut = LookupTable.from_multiplier(library.create("mul8s_trunc2"))
         iq = compute_coeffs_from_tensor(inputs)
         fq = compute_coeffs_from_tensor(filters)
-        direct = run_direct_reference(inputs, filters, lut, iq, fq)
+        direct = approx_conv2d_direct(inputs, filters, lut, iq, fq)
         gemm = approx_conv2d(
             inputs, filters, lut,
             input_range=(inputs.min(), inputs.max()),

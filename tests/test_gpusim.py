@@ -17,7 +17,7 @@ from repro.gpusim import (
     run_im2cols_kernel,
 )
 from repro.hwspec import GPUSpec
-from repro.quantization import compute_coeffs_from_tensor
+from repro.quantization import SIGNED_8BIT, compute_coeffs_from_tensor
 from repro.workload import ConvWorkload
 
 
@@ -128,7 +128,7 @@ class TestGPUEngine:
         with pytest.raises(ConfigurationError):
             engine.approx_conv2d(rng.normal(size=(1, 4, 4, 1)),
                                  rng.normal(size=(3, 3, 1, 1)),
-                                 exact_lut_unsigned)  # signed default range
+                                 exact_lut_unsigned, qrange=SIGNED_8BIT)
 
 
 class TestGPUTimingModel:
