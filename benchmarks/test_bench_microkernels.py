@@ -13,8 +13,12 @@ bare gather+reduce over pre-stitched indices on the bench shape -- the speed
 the kernel would reach if index construction, blocking overhead and the
 Python loop were free.  The JSON artefact records the roofline, each
 kernel's absolute MACs/s and its fraction of the roofline, plus the
-blocked-vs-naive speedup the tentpole claims (>= 1.5x, asserted here and
-archived by CI).
+blocked-vs-naive speedup (>= 1.5x, asserted here and archived by CI).
+
+The low-rank kernel does no per-MAC gather, so it has no place on the
+gather roofline; it is measured against the blocked kernel on the same
+rank-2 table (``mul8s_drum4``) at the bench shape instead, and the
+lowrank-vs-blocked speedup is asserted (>= 2x).
 """
 
 from __future__ import annotations
@@ -30,8 +34,11 @@ from repro.conv import im2col_quantized
 from repro.conv.gemm import (
     flat_index_dtype,
     lut_matmul_blocked,
+    lut_matmul_lowrank,
     lut_matmul_naive,
 )
+from repro.lut import LookupTable
+from repro.multipliers import library
 from repro.quantization import compute_coeffs_from_tensor
 
 #: Every LUT-GEMM kernel this environment can run; the numba kernel joins
@@ -57,6 +64,10 @@ ROOFLINE_FLOORS = {"naive": 0.06, "blocked": 0.20, "numba": 0.20}
 #: The tentpole claim, asserted on every run: median blocked MACs/s must be
 #: at least this multiple of the naive kernel's.
 MIN_BLOCKED_SPEEDUP = 1.5
+
+#: Median low-rank MACs/s over blocked MACs/s on the rank-2 DRUM4 table
+#: (typically 4-8x at the bench shape on a 2-core host).
+MIN_LOWRANK_SPEEDUP = 2.0
 
 
 @pytest.fixture(scope="module")
@@ -168,6 +179,17 @@ def test_lut_gemm_roofline(exact_lut, gemm_case, bench_json):
 
     speedup = achieved["blocked"] / achieved["naive"]
     payload["blocked_vs_naive_speedup"] = speedup
+
+    drum4 = LookupTable.from_multiplier(library.create("mul8s_drum4"))
+    drum4_seconds = {
+        name: _median_seconds(run, patches, weights, drum4)
+        for name, run in (("blocked", lut_matmul_blocked),
+                          ("lowrank", lut_matmul_lowrank))}
+    lowrank_speedup = drum4_seconds["blocked"] / drum4_seconds["lowrank"]
+    payload["drum4_blocked_median_seconds"] = drum4_seconds["blocked"]
+    payload["lowrank_median_seconds"] = drum4_seconds["lowrank"]
+    payload["lowrank_macs_per_s"] = macs / drum4_seconds["lowrank"]
+    payload["lowrank_vs_blocked_speedup"] = lowrank_speedup
     # Compatibility keys: the trajectory numbers earlier PRs archived,
     # continued by the default kernel's figures.
     payload["lut_gemm_macs_per_s"] = achieved["blocked"]
@@ -186,6 +208,10 @@ def test_lut_gemm_roofline(exact_lut, gemm_case, bench_json):
     assert speedup >= MIN_BLOCKED_SPEEDUP, (
         f"blocked kernel is only {speedup:.2f}x the naive kernel "
         f"(required: {MIN_BLOCKED_SPEEDUP}x)"
+    )
+    assert lowrank_speedup >= MIN_LOWRANK_SPEEDUP, (
+        f"lowrank kernel is only {lowrank_speedup:.2f}x the blocked kernel "
+        f"on mul8s_drum4 (required: {MIN_LOWRANK_SPEEDUP}x)"
     )
 
 

@@ -10,14 +10,24 @@ Two GEMM flavours are provided:
   integer accumulations are corrected with the pre-computed patch sums ``Sp``
   and filter sums ``Sf`` and the result is dequantised according to Eq. 4.
 
-The integer LUT product itself -- :func:`lut_matmul` -- runs one kernel,
-chosen on its first call from what the environment offers: the numba JIT
-kernel (:mod:`repro.conv.gemm_numba`) when numba is importable, else
-:func:`lut_matmul_blocked`, the cache-blocked NumPy gather-GEMM.
-:func:`lut_matmul_naive` is the plain reference implementation the other
-two must match bit for bit; the parity grid and the property suite use it
-as their oracle.  Every kernel accumulates in int64; ``accumulator_bits``
-and ``saturate`` model a narrower hardware accumulator.
+The integer LUT product itself -- :func:`lut_matmul` -- runs the kernel
+:func:`gemm_kernel` names for the table and the product's shape:
+
+* ``"lowrank"``, :func:`lut_matmul_lowrank`: when the multiplier's error
+  table ``E = L - a*w`` has proven integer factors ``det * E == U @ V.T``
+  of rank ``r`` (:mod:`repro.lut.lowrank`), every LUT sum is
+  ``A @ W + (U[A] @ V[W]) / det`` -- two float64 BLAS GEMMs, exact because
+  every partial sum is an integer below 2**53.  Chosen iff the factors
+  exist and both 2**53 bounds hold at depth ``K``;
+* otherwise the gather kernel: numba's JIT kernel
+  (:mod:`repro.conv.gemm_numba`) when numba is importable, else
+  :func:`lut_matmul_blocked`, the cache-blocked NumPy gather-GEMM.
+
+:func:`lut_matmul_naive` is the plain reference implementation the others
+must match bit for bit; the parity grid and the property suite use it as
+their oracle.  Every kernel accumulates exactly in int64;
+``accumulator_bits`` and ``saturate`` model a narrower hardware
+accumulator, applied last.
 
 ``approx_gemm`` stays deliberately engine-agnostic: the kernels here, the
 direct CPU loop in :mod:`repro.conv.reference` and the simulated CUDA kernel
@@ -196,17 +206,158 @@ def lut_matmul_blocked(patches: np.ndarray, filters: np.ndarray,
     return result
 
 
+#: Integers up to 2**53 are exact in float64: the low-rank kernel runs only
+#: where every partial sum of its GEMMs stays below this.
+_FLOAT64_EXACT = 1 << 53
+
+#: Largest multiply-add count of one BLAS call of the low-rank kernel.  A
+#: default OpenBLAS build (``GEMM_MULTITHREAD_THRESHOLD=4``) runs a GEMM of
+#: at most 65536 * 4 multiply-adds on the calling thread and wakes its
+#: worker threads above it; those oversubscribe the pipeline's own worker
+#: threads, and on small VMs the wake-up alone can stall a call for
+#: milliseconds.  The figure holds for default OpenBLAS builds only; under
+#: another BLAS it merely keeps the calls small.
+_BLAS_CALL_MACS = 1 << 18
+
+#: Fewest rows of one low-rank row panel: a shorter BLAS call re-reads its
+#: whole right operand for too little work, so deep products keep this many
+#: rows and are cut into depth slabs instead (:func:`_blas_matmul`).
+_BLAS_CALL_ROWS = 16
+
+
+def _blas_matmul(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """``left @ right`` in float64, cut into depth slabs of at most
+    :data:`_BLAS_CALL_MACS` multiply-adds each.
+
+    The slabs are summed in float64, which is exact whenever the caller has
+    bounded every partial sum below 2**53, as the low-rank kernel does.
+    """
+    slab = max(1, _BLAS_CALL_MACS // max(1, len(left) * right.shape[1]))
+    out = left[:, :slab] @ right[:slab]
+    for k0 in range(slab, left.shape[1], slab):
+        out += left[:, k0:k0 + slab] @ right[k0:k0 + slab]
+    return out
+
+
+def _lowrank_refusal(lut: LookupTable, depth: int) -> str | None:
+    """Why :func:`lut_matmul_lowrank` cannot be exact at this depth, or None.
+
+    A float64 GEMM is exact when every partial sum, in whatever order BLAS
+    forms it, is an integer below 2**53; the sum of the absolute values of
+    the terms bounds all of them.  The exact product's terms are at most
+    ``max|a| * max|w|`` each (the kernel multiplies the operands the table
+    reads, so they lie in its range) and the error product's ``rank *
+    max|U| * max|V|`` per position, ``depth`` positions deep.
+    """
+    factors = lut.error_factors()
+    if factors is None:
+        return (f"the error table of {lut.name!r} has no proven integer "
+                f"factors")
+    if depth * factors.rank * factors.u_max * factors.v_max >= _FLOAT64_EXACT:
+        return (f"rank-{factors.rank} error sums of {lut.name!r} could reach "
+                f"2**53 at depth {depth}")
+    operand = max(-lut.operand_min, lut.operand_max)
+    if depth * operand * operand >= _FLOAT64_EXACT:
+        return f"exact product sums could reach 2**53 at depth {depth}"
+    return None
+
+
+def _lowrank_product(patches: np.ndarray, filters: np.ndarray,
+                     lut: LookupTable, accumulator_bits: int | None,
+                     saturate: bool) -> np.ndarray:
+    """The body of :func:`lut_matmul_lowrank`, for callers that have
+    validated the operands and checked :func:`_lowrank_refusal`."""
+    factors = lut.error_factors()
+    rank = factors.rank
+    depth, num_filters = filters.shape
+    width = lut.bit_width
+    mask = (1 << width) - 1
+    # The operand each bit pattern stands for in the table, so operands
+    # outside the table range wrap exactly as in the gather kernels.
+    values = np.arange(1 << width, dtype=np.float64)
+    if lut.signed:
+        values[1 << (width - 1):] -= 1 << width
+
+    filter_bits = filters & mask
+    exact_filters = values[filter_bits]
+    u = factors.u.astype(np.float64)
+    # V rows of every filter operand, laid out [K * rank, F] so the error
+    # term is one GEMM against the [rows, K * rank] gather of U rows.
+    error_filters = (factors.v.astype(np.float64)[filter_bits]
+                     .transpose(0, 2, 1).reshape(depth * rank, num_filters))
+    # One panel's error GEMM fills one BLAS call, so its gather holds at
+    # most 8 * _BLAS_CALL_MACS / F bytes (2 MiB) until the row floor.
+    rows = max(_BLAS_CALL_ROWS, _BLAS_CALL_MACS
+               // max(1, depth * max(rank, 1) * num_filters))
+
+    result = np.empty((patches.shape[0], num_filters), dtype=np.int64)
+    for r0 in range(0, patches.shape[0], rows):
+        bits = patches[r0:r0 + rows] & mask
+        acc = _blas_matmul(values.take(bits), exact_filters).astype(np.int64)
+        if rank:
+            gathered = u.take(bits, axis=0).reshape(len(bits), depth * rank)
+            error = _blas_matmul(gathered, error_filters).astype(np.int64)
+            acc += error // factors.det
+        result[r0:r0 + rows] = _wrap_accumulator(acc, accumulator_bits,
+                                                 saturate)
+    return result
+
+
+def lut_matmul_lowrank(patches: np.ndarray, filters: np.ndarray,
+                       lut: LookupTable, *,
+                       accumulator_bits: int | None = None,
+                       saturate: bool = False) -> np.ndarray:
+    """Exact LUT-GEMM as BLAS work: ``A @ W + (U[A] @ V[W]) / det``.
+
+    Same contract as :func:`lut_matmul_naive`, for tables whose error
+    ``E = L - a*w`` has proven integer factors ``det * E == U @ V.T``
+    (:meth:`LookupTable.error_factors`).  ``A`` and ``W`` are the operands
+    the table reads: the bit patterns ``x & (2**n - 1)``, sign-extended for
+    a signed table, exactly what the gather kernels index with.  Per row
+    panel, one float64 GEMM forms the exact products and one
+    ``[rows, K * rank] x [K * rank, F]`` GEMM over gathered factor rows
+    forms ``det`` times the error sum.  Every partial sum of both is an
+    integer below 2**53, hence exact in float64, and the integer division
+    by ``det`` is exact by the factor identity.  Every BLAS call stays at
+    or below :data:`_BLAS_CALL_MACS` multiply-adds.  Raises
+    :class:`~repro.errors.ConfigurationError` when the table has no factors
+    or the depth could push a partial sum past 2**53.
+    """
+    patches, filters = _validate_lut_matmul_operands(patches, filters)
+    refusal = _lowrank_refusal(lut, filters.shape[0])
+    if refusal is not None:
+        raise ConfigurationError(f"lut_matmul_lowrank: {refusal}")
+    return _lowrank_product(patches, filters, lut, accumulator_bits, saturate)
+
+
 @functools.cache
-def _kernel():
-    """The kernel :func:`lut_matmul` runs: numba when importable, else blocked.
+def _gather_kernel():
+    """The gather kernel as ``(name, function)``: numba when importable,
+    else blocked.
 
     Resolved on the first call rather than at import, so ``import repro``
     never imports numba.
     """
     if importlib.util.find_spec("numba") is not None:  # pragma: no cover
         from .gemm_numba import lut_matmul_numba   # numba CI leg only
-        return lut_matmul_numba
-    return lut_matmul_blocked
+        return "numba", lut_matmul_numba
+    return "blocked", lut_matmul_blocked
+
+
+def gemm_kernel(lut: LookupTable, depth: int) -> str:
+    """The kernel :func:`lut_matmul` runs: ``"lowrank"``, ``"numba"`` or
+    ``"blocked"``.
+
+    The low-rank kernel runs whenever it is exact: the table has proven
+    factors and no partial sum can reach 2**53 at depth ``K`` (see
+    :func:`_lowrank_refusal`); otherwise the gather kernel runs.  The
+    product's other dimensions do not enter.  This is the one place the
+    kernel choice is made, and a pure function of its arguments, so a
+    tracer can record the choice and its inputs.
+    """
+    if _lowrank_refusal(lut, depth) is None:
+        return "lowrank"
+    return _gather_kernel()[0]
 
 
 def lut_matmul(patches: np.ndarray, filters: np.ndarray, lut: LookupTable, *,
@@ -218,12 +369,17 @@ def lut_matmul(patches: np.ndarray, filters: np.ndarray, lut: LookupTable, *,
     shape ``[K, F]`` (quantised filter columns).  The product is returned as
     an ``[P, F]`` int64 matrix of *approximate* dot products, accumulated in
     int64 and optionally folded into an ``accumulator_bits``-wide
-    accumulator that wraps (or, with ``saturate``, clips).  Runs the numba
-    kernel when numba is importable, else :func:`lut_matmul_blocked`; both
-    are bit-identical to :func:`lut_matmul_naive`.
+    accumulator that wraps (or, with ``saturate``, clips).  Runs the kernel
+    :func:`gemm_kernel` names; every kernel is bit-identical to
+    :func:`lut_matmul_naive`.
     """
-    return _kernel()(patches, filters, lut,
-                     accumulator_bits=accumulator_bits, saturate=saturate)
+    patches, filters = _validate_lut_matmul_operands(patches, filters)
+    if gemm_kernel(lut, filters.shape[0]) == "lowrank":
+        return _lowrank_product(patches, filters, lut, accumulator_bits,
+                                saturate)
+    return _gather_kernel()[1](patches, filters, lut,
+                               accumulator_bits=accumulator_bits,
+                               saturate=saturate)
 
 
 def dequantize_gemm(acc: np.ndarray, patch_sums: np.ndarray,

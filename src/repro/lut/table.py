@@ -15,11 +15,17 @@ place.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from ..errors import BitWidthError, TruthTableError
 from ..multipliers.base import Multiplier
 from ..multipliers.truthtable import validate_table
+from .lowrank import MAX_BITS, ErrorFactors, factor_error_table
+
+#: ``LookupTable._factors`` before the first :meth:`error_factors` call.
+_UNFACTORED = object()
 
 
 class LookupTable:
@@ -57,6 +63,8 @@ class LookupTable:
             storage = np.int32
         self._flat = np.ascontiguousarray(table.reshape(-1).astype(storage))
         self._table_2d = table
+        self._factors = _UNFACTORED
+        self._factor_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     @classmethod
@@ -187,3 +195,20 @@ class LookupTable:
     def is_exact(self) -> bool:
         """True when the table encodes an exact multiplier."""
         return not np.any(self.error_versus_exact())
+
+    def error_factors(self) -> ErrorFactors | None:
+        """Proven integer low-rank factors of the error table, or None.
+
+        Computed on the first call (at most once, whichever thread gets
+        there first) and kept for the life of the table, so every pipeline
+        sharing this table through a ``LUTCache`` shares one factorisation.
+        Tables wider than :data:`~repro.lut.lowrank.MAX_BITS` bits are not
+        factored.  See :mod:`repro.lut.lowrank`.
+        """
+        if self._factors is _UNFACTORED:
+            with self._factor_lock:
+                if self._factors is _UNFACTORED:
+                    self._factors = (
+                        factor_error_table(self.error_versus_exact())
+                        if self._bit_width <= MAX_BITS else None)
+        return self._factors

@@ -25,7 +25,11 @@ from repro.backends import (
 )
 from repro.conv import approx_conv2d, prepare_conv2d
 from repro.conv import gemm
-from repro.conv.gemm import lut_matmul_blocked, lut_matmul_naive
+from repro.conv.gemm import (
+    lut_matmul_blocked,
+    lut_matmul_lowrank,
+    lut_matmul_naive,
+)
 from repro.errors import ConfigurationError, RegistryError
 from repro.gpusim.engine import GPUConvolutionEngine
 from repro.graph import Graph
@@ -33,6 +37,7 @@ from repro.graph.ops.basic import Constant
 from repro.graph.ops.conv import AxConv2D
 from repro.lut import LookupTable
 from repro.multipliers import library
+from repro.quantization.affine import IntegerRange
 
 
 # Small cases: the cpusim backend is a per-pixel Python loop.
@@ -100,7 +105,10 @@ class TestBackendParity:
 
 #: Every LUT-GEMM kernel this environment can run.  ``naive`` is the
 #: oracle; the numba kernel joins when numba is importable (the numba CI leg).
-KERNELS = {"naive": lut_matmul_naive, "blocked": lut_matmul_blocked}
+#: ``lowrank`` refuses tables without proven error factors with a
+#: ``ConfigurationError``; the grids accept that refusal and nothing else.
+KERNELS = {"naive": lut_matmul_naive, "blocked": lut_matmul_blocked,
+           "lowrank": lut_matmul_lowrank}
 if importlib.util.find_spec("numba") is not None:  # pragma: no cover
     from repro.conv.gemm_numba import lut_matmul_numba
 
@@ -121,6 +129,16 @@ GEMM_SHAPES = [
 ]
 GEMM_MULTIPLIERS = ["mul8s_exact", "mul8s_mitchell", "mul8u_drum4"]
 
+#: Every library multiplier, swept through every kernel at a Table-I filter
+#: count (F=64), with wrapping and saturating finite accumulators.
+LIBRARY_MULTIPLIERS = library.available()
+LIBRARY_SHAPE = (37, 75, 64)
+
+#: Tables the low-rank kernel takes, of every rank class, for operands
+#: outside the table range.
+OUT_OF_RANGE_MULTIPLIERS = ["mul8s_exact", "mul8s_drum4", "mul8s_bam_v5",
+                            "mul8u_trunc2", "mul8u_loa4"]
+
 
 def _gemm_operands(shape, lut):
     p, k, f = shape
@@ -136,6 +154,19 @@ def _gemm_operands(shape, lut):
     if lut.signed:
         a, w = (v - (1 << n) if v >= 1 << (n - 1) else v for v in (a, w))
     return np.full((p, k), a), np.full((k, f), w)
+
+
+def _run_kernels(patches, filters, lut, **accumulator):
+    """Every kernel's output by name; a refused ``lowrank`` is left out."""
+    outputs = {}
+    for name, kernel in KERNELS.items():
+        try:
+            outputs[name] = kernel(patches, filters, lut, **accumulator)
+        except ConfigurationError:
+            if name != "lowrank":
+                raise
+            assert gemm.gemm_kernel(lut, len(filters)) != "lowrank"
+    return outputs
 
 
 def _wrapped(value: int, bits: int | None) -> int:
@@ -172,14 +203,82 @@ class TestKernelVariantParity:
             if not lut.signed:
                 assert exact > 2**31
             assert np.all(reference == _wrapped(exact, accumulator_bits))
-        for name, kernel in KERNELS.items():
-            out = kernel(patches, filters, lut,
-                         accumulator_bits=accumulator_bits)
+        outputs = _run_kernels(patches, filters, lut,
+                               accumulator_bits=accumulator_bits)
+        for name, out in outputs.items():
             assert out.dtype == np.int64
             assert np.array_equal(out, reference), (
                 f"kernel {name!r} diverged from naive for {multiplier} "
                 f"at shape {shape}"
             )
+
+    @pytest.mark.parametrize("accumulator_bits,saturate",
+                             [(None, False), (32, False), (32, True),
+                              (16, False), (16, True)],
+                             ids=["acc64", "acc32", "acc32sat", "acc16",
+                                  "acc16sat"])
+    @pytest.mark.parametrize("multiplier", LIBRARY_MULTIPLIERS)
+    def test_every_library_multiplier(self, multiplier, accumulator_bits,
+                                      saturate):
+        """Each library table: every kernel bit-identical, or lowrank refuses.
+
+        lut_matmul picks lowrank for every table whose factors are proven
+        and within the 2**53 bound at this depth, so the sweep runs the
+        low-rank kernel on all of them.
+        """
+        lut = LookupTable.from_multiplier(library.create(multiplier))
+        patches, filters = _gemm_operands(LIBRARY_SHAPE, lut)
+        accumulator = {"accumulator_bits": accumulator_bits,
+                       "saturate": saturate}
+        reference = lut_matmul_naive(patches, filters, lut, **accumulator)
+        outputs = _run_kernels(patches, filters, lut, **accumulator)
+        assert ("lowrank" in outputs) == (
+            gemm.gemm_kernel(lut, LIBRARY_SHAPE[1]) == "lowrank")
+        for name, out in outputs.items():
+            assert np.array_equal(out, reference), (
+                f"kernel {name!r} diverged from naive for {multiplier}")
+
+    def test_bound_fallback_stays_bit_identical(self):
+        """LOA4 (rank 11) at K=40000: its factor sums could pass 2**53, so
+        lut_matmul gathers, lowrank refuses, and the product is unchanged."""
+        lut = LookupTable.from_multiplier(library.create("mul8u_loa4"))
+        rng = np.random.default_rng(40)
+        patches = rng.integers(0, 256, size=(2, OVERFLOW_DEPTH))
+        filters = rng.integers(0, 256, size=(OVERFLOW_DEPTH, 32))
+        assert gemm.gemm_kernel(lut, OVERFLOW_DEPTH) != "lowrank"
+        with pytest.raises(ConfigurationError, match="2\\*\\*53"):
+            lut_matmul_lowrank(patches, filters, lut)
+        reference = lut_matmul_naive(patches, filters, lut, tile_rows=1,
+                                     accumulator_bits=32)
+        out = gemm.lut_matmul(patches, filters, lut, accumulator_bits=32)
+        assert np.array_equal(out, reference)
+
+    @pytest.mark.parametrize("multiplier", OUT_OF_RANGE_MULTIPLIERS)
+    def test_out_of_range_operands_wrap_alike(self, multiplier):
+        """Operands outside the table range index it by their low bits in
+        every kernel, the low-rank one included."""
+        lut = LookupTable.from_multiplier(library.create(multiplier))
+        rng = np.random.default_rng(512)
+        patches = rng.integers(-512, 512, size=(23, 50))
+        filters = rng.integers(-512, 512, size=(50, 12))
+        assert gemm.gemm_kernel(lut, 50) == "lowrank"
+        reference = lut_matmul_naive(patches, filters, lut)
+        for name, out in _run_kernels(patches, filters, lut).items():
+            assert np.array_equal(out, reference), name
+        assert np.array_equal(gemm.lut_matmul(patches, filters, lut),
+                              reference)
+
+    def test_conv_with_a_qrange_wider_than_the_table(self, monkeypatch):
+        """A 10-bit qrange on an 8-bit table gives the same conv output on
+        the low-rank path as on the gather path."""
+        rng = np.random.default_rng(10)
+        inputs = rng.normal(size=(2, 6, 6, 3))
+        filters = rng.normal(size=(3, 3, 3, 8))
+        wide = {"qrange": IntegerRange(-512, 511), "padding": "SAME"}
+        out = emulate_conv2d(inputs, filters, "mul8s_drum4", **wide)
+        monkeypatch.setattr(gemm, "lut_matmul", lut_matmul_blocked)
+        gathered = emulate_conv2d(inputs, filters, "mul8s_drum4", **wide)
+        assert np.array_equal(out, gathered)
 
     @pytest.mark.parametrize("block_rows,block_k",
                              [(1, 1), (16, 7), (64, 48), (1024, 1024)])
@@ -194,19 +293,47 @@ class TestKernelVariantParity:
         assert np.array_equal(out, reference)
 
     def test_lut_matmul_runs_numba_iff_importable(self):
-        expected = KERNELS.get("numba", lut_matmul_blocked)
-        assert gemm._kernel() is expected
+        """Tables the low-rank kernel cannot take gather with numba when it
+        is importable, else with the blocked kernel."""
+        expected = "numba" if "numba" in KERNELS else "blocked"
+        assert gemm._gather_kernel() == (expected, KERNELS[expected])
+        mitchell = LookupTable.from_multiplier(
+            library.create("mul8s_mitchell"))
+        assert gemm.gemm_kernel(mitchell, 144) == expected
 
     def test_every_kernel_gives_the_same_conv_output(self, monkeypatch):
-        """The conv output does not depend on which kernel lut_matmul runs."""
-        inputs, filters, strides, padding = _case(SHAPES[0])
-        reference = emulate_conv2d(inputs, filters, "mul8s_exact",
-                                   strides=strides, padding=padding)
-        for name, kernel in KERNELS.items():
-            monkeypatch.setattr(gemm, "_kernel", lambda k=kernel: k)
-            out = emulate_conv2d(inputs, filters, "mul8s_exact",
-                                 strides=strides, padding=padding)
-            assert np.array_equal(out, reference), name
+        """The conv output does not depend on which kernel lut_matmul runs.
+
+        Mitchell's error table has no low-rank factors, so lut_matmul
+        gathers; DRUM4's has rank 2, so it takes the low-rank path.
+        Each conv is rerun with every kernel that accepts its table forced
+        in place of lut_matmul, which approx_gemm calls by its global name.
+        """
+        rng = np.random.default_rng(11)
+        inputs = rng.normal(size=(2, 6, 6, 3))
+        filters = rng.normal(size=(3, 3, 3, 8))
+        paths = {"mul8s_mitchell": gemm._gather_kernel()[0],
+                 "mul8s_drum4": "lowrank"}
+        for multiplier, path in paths.items():
+            lut = LookupTable.from_multiplier(library.create(multiplier))
+            assert gemm.gemm_kernel(lut, 27) == path
+            reference = emulate_conv2d(inputs, filters, multiplier,
+                                       padding="SAME")
+            for name, kernel in KERNELS.items():
+                if name == "lowrank" and lut.error_factors() is None:
+                    continue
+                calls = []
+
+                def forced(*args, kernel=kernel, **kwargs):
+                    calls.append(name)
+                    return kernel(*args, **kwargs)
+
+                monkeypatch.setattr(gemm, "lut_matmul", forced)
+                out = emulate_conv2d(inputs, filters, multiplier,
+                                     padding="SAME")
+                monkeypatch.undo()
+                assert calls, name
+                assert np.array_equal(out, reference), (multiplier, name)
 
 
 class TestRegistry:

@@ -9,6 +9,9 @@ Three families of invariants, mostly driven by hypothesis:
   ``approx_gemm`` must equal the float GEMM of the same quantised operands
   after dequantisation to within 1 ULP (both accumulate integers that are
   exactly representable in float64);
+* *the low-rank kernel is the gather*: on every library table it accepts,
+  :func:`~repro.conv.gemm.lut_matmul_lowrank` reproduces the naive kernel
+  bit for bit, finite accumulators included;
 * *degenerate shapes are well-defined*: empty reduction (K=0), empty operand
   panels (P=0 / F=0) and single-row products return the right shapes instead
   of crashing.
@@ -26,12 +29,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.conv import gemm
 from repro.conv.gemm import (
     approx_gemm,
     dequantize_gemm,
     flat_index_dtype,
     gemm_float,
     lut_matmul_blocked,
+    lut_matmul_lowrank,
     lut_matmul_naive,
 )
 from repro.errors import ConfigurationError
@@ -110,6 +115,66 @@ class TestBlockingInvariance:
         np.testing.assert_array_equal(blocked, reference)
 
 
+#: Every library table the low-rank kernel accepts up to depth 64 (the
+#: hypothesis depths below): all with proven factors except the rank-11
+#: ptrunc4 tables, whose factor sums pass the 2**53 bound beyond K=24.
+LOWRANK_MULTIPLIERS = [
+    name for name in library.available()
+    if gemm._lowrank_refusal(
+        LookupTable.from_multiplier(library.create(name)), 64) is None
+]
+
+
+@pytest.fixture(scope="module")
+def lowrank_luts():
+    return {name: LookupTable.from_multiplier(library.create(name))
+            for name in LOWRANK_MULTIPLIERS}
+
+
+class TestLowRankIsTheGather:
+    def test_accepted_set(self):
+        assert len(LOWRANK_MULTIPLIERS) == 18
+        assert "mul8u_loa4" in LOWRANK_MULTIPLIERS
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(LOWRANK_MULTIPLIERS),
+        seed=st.integers(0, 2**31 - 1),
+        p=st.integers(1, 40),
+        k=st.integers(1, 64),
+        f=st.integers(1, 24),
+        accumulator_bits=st.one_of(st.none(), st.integers(12, 32)),
+        saturate=st.booleans(),
+    )
+    def test_lowrank_matches_naive(self, lowrank_luts, name, seed, p, k, f,
+                                   accumulator_bits, saturate):
+        lut = lowrank_luts[name]
+        rng = np.random.default_rng(seed)
+        lo, hi = lut.operand_min, lut.operand_max + 1
+        patches = rng.integers(lo, hi, size=(p, k))
+        filters = rng.integers(lo, hi, size=(k, f))
+        reference = lut_matmul_naive(patches, filters, lut,
+                                     accumulator_bits=accumulator_bits,
+                                     saturate=saturate)
+        out = lut_matmul_lowrank(patches, filters, lut,
+                                 accumulator_bits=accumulator_bits,
+                                 saturate=saturate)
+        assert out.dtype == np.int64
+        np.testing.assert_array_equal(out, reference)
+
+    @pytest.mark.parametrize("p,k,f", [(5, 0, 3), (0, 7, 3), (5, 7, 0)])
+    def test_degenerate_shapes(self, lowrank_luts, p, k, f):
+        """Empty operands through the rank-2 error term."""
+        lut = lowrank_luts["mul8s_drum4"]
+        rng = np.random.default_rng(k)
+        patches = rng.integers(-128, 128, size=(p, k))
+        filters = rng.integers(-128, 128, size=(k, f))
+        out = lut_matmul_lowrank(patches, filters, lut)
+        assert out.shape == (p, f) and out.dtype == np.int64
+        np.testing.assert_array_equal(
+            out, lut_matmul_naive(patches, filters, lut))
+
+
 class TestExactLutIsAGemm:
     @settings(max_examples=25, deadline=None)
     @given(
@@ -144,8 +209,9 @@ class TestExactLutIsAGemm:
 
 
 class TestDegenerateShapes:
-    @pytest.mark.parametrize("kernel", [lut_matmul_naive, lut_matmul_blocked],
-                             ids=["naive", "blocked"])
+    @pytest.mark.parametrize("kernel", [lut_matmul_naive, lut_matmul_blocked,
+                                        lut_matmul_lowrank],
+                             ids=["naive", "blocked", "lowrank"])
     @pytest.mark.parametrize("p,k,f", [
         (5, 0, 3),    # empty reduction: a well-defined all-zero product
         (0, 7, 3),    # no patches
